@@ -11,10 +11,11 @@ phases that make the composite land exactly on the canonical gate.
 from bellsim import (
     BasisMode,
     ModeSpace,
+    apply_element,
     apply_elements,
-    apply_path_router,
     basis_state,
     max_amplitude_difference,
+    oam_sorter,
     path_router_decomposition,
     path_router_stage_groups,
 )
@@ -59,7 +60,7 @@ def main():
             for pol in ("H", "V"):
                 probe = basis_state(SPACE, pol, oam, path)
                 via_elements = apply_elements(probe, elements)
-                via_gate = apply_path_router(probe, "a", "b")
+                via_gate = apply_element(probe, oam_sorter("a", "b"))
                 worst = max(
                     worst, max_amplitude_difference(via_elements, via_gate)
                 )

@@ -15,9 +15,8 @@ final states and the outcome distributions.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -40,6 +39,7 @@ from .state import (
     TwoPhotonState,
     fidelity,
     global_phase_between,
+    max_amplitude_difference,
 )
 
 __all__ = [
@@ -408,13 +408,8 @@ def analyze(
     label: str, impl: str | None = None, circuit: Circuit | None = None
 ) -> OutcomeDistribution:
     """Outcome distribution for one Bell input through the analyzer."""
-    _check_label(label)
-    circuit = default_circuit() if circuit is None else circuit
-    plan = compile_circuit(circuit, impl)
-    out = propagate(plan, prepare_input(label, circuit.space()))
-    return sppm_project(
-        out, plan.origins["A"], plan.origins["B"], _measurement_impl(plan, impl)
-    )
+    space = None if circuit is None else circuit.space()
+    return analyze_state(prepare_input(label, space), impl, circuit)
 
 
 def analyze_state(
@@ -634,17 +629,7 @@ def oracle_check(
     for state in inputs:
         sparse_out = propagate(plan, state)
         dense_out = restrict_to_circuit(plan, dense.apply(state), "dense oracle output")
-        diff = 0.0
-        keys = set(sparse_out.amplitudes) | set(dense_out.amplitudes)
-        for key in keys:
-            diff = max(
-                diff,
-                abs(
-                    sparse_out.amplitudes.get(key, 0.0)
-                    - dense_out.amplitudes.get(key, 0.0)
-                ),
-            )
-        worst_state = max(worst_state, diff)
+        worst_state = max(worst_state, max_amplitude_difference(sparse_out, dense_out))
         dist_sparse = sppm_project(sparse_out, plan.origins["A"], plan.origins["B"], meas_impl)
         dist_dense = sppm_project(dense_out, plan.origins["A"], plan.origins["B"], meas_impl)
         worst_tvd = max(worst_tvd, dist_sparse.tvd(dist_dense))

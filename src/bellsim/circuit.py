@@ -1,4 +1,4 @@
-"""Circuit model, line-oriented text format, and static validation.
+"""Circuit model, line-oriented text format, and the stage-kind table.
 
 A circuit document is UTF-8 text:
 
@@ -19,6 +19,9 @@ unknown kinds and unknown keys are rejected with a line/column diagnostic.
 Angles are written either as decimal numbers or as rational multiples of
 pi (``pi/8``, ``-pi/4``, ``3pi/4``); the pi forms are preserved exactly
 and round-trip through the canonical printer.
+
+Every stage kind is declared once, in ``STAGE_KINDS``: the parser, the
+printer, the compiler and the validator all read it.
 """
 
 from __future__ import annotations
@@ -26,8 +29,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
+from . import elements as el
+from . import gates
+from .elements import ColumnFn
 from .errors import CircuitSemanticError, CircuitSyntaxError
 from .state import DEFAULT_LMAX, ModeSpace
 
@@ -36,11 +42,13 @@ __all__ = [
     "angle_value",
     "Stage",
     "Circuit",
+    "Param",
+    "CompiledOp",
+    "KindSpec",
+    "STAGE_KINDS",
+    "ANCILLA_PATH",
     "parse_circuit",
     "print_circuit",
-    "ValidationIssue",
-    "ValidationReport",
-    "validate",
     "BUILTIN_CIRCUITS",
     "builtin_document",
     "FIG2_NAME",
@@ -48,42 +56,9 @@ __all__ = [
 
 PHOTONS = ("A", "B")
 
-PRIMITIVE_KINDS = ("qwp", "hwp", "qp", "spp", "dp", "pp", "mirror", "bs", "pbs", "oam_sorter", "dl")
-COMPOSITE_KINDS = ("p_cos", "o_cps", "oh", "dp_stage", "sppm")
-STAGE_KINDS = PRIMITIVE_KINDS + COMPOSITE_KINDS
-
-#: value-type tag and required flag per stage kind and key
-_SCHEMA: dict[str, dict[str, tuple[str, bool]]] = {
-    "qwp": {},
-    "hwp": {"theta": ("angle", True)},
-    "qp": {"q": ("fraction", True)},
-    "spp": {"l": ("int", True)},
-    "dp": {"alpha": ("angle", True)},
-    "pp": {"phi": ("angle", True), "pol": ("pol", False), "oam": ("int", False)},
-    "mirror": {},
-    "bs": {},
-    "pbs": {},
-    "oam_sorter": {},
-    "dl": {},
-    "p_cos": {"q": ("fraction", False)},
-    "o_cps": {},
-    "oh": {},
-    "dp_stage": {},
-    "sppm": {},
-}
-
-#: canonical key print order per kind (impl is appended when non-default)
-_KEY_ORDER: dict[str, tuple[str, ...]] = {
-    "hwp": ("theta",),
-    "qp": ("q",),
-    "spp": ("l",),
-    "dp": ("alpha",),
-    "pp": ("phi", "pol", "oam"),
-    "p_cos": ("q",),
-}
-
-_TWO_PATH_KINDS = {"bs", "pbs", "oam_sorter", "o_cps"}
-_ONE_PATH_KINDS = {"sppm"}
+#: scoped path label for the decomposed OAM-Hadamard interferometer;
+#: starts with an underscore so it can never collide with a parsed label
+ANCILLA_PATH = "_mzi"
 
 
 class PiAngle(NamedTuple):
@@ -129,8 +104,122 @@ class Circuit:
     def space(self) -> ModeSpace:
         return ModeSpace(self.lmax, self.paths)
 
-    def sppm_stages(self) -> list[Stage]:
-        return [s for s in self.stages if s.kind == "sppm"]
+
+# -- stage kinds --------------------------------------------------------
+
+
+class Param(NamedTuple):
+    """One kind-specific key: value type (angle, fraction, int, pol)."""
+
+    key: str
+    type: str
+    required: bool = True
+
+
+@dataclass(frozen=True)
+class CompiledOp:
+    label: str
+    column: ColumnFn
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    """Everything the package knows about one stage kind.
+
+    Attributes:
+        arity: exact number of paths, or None for one or more.
+        params: kind-specific keys, in canonical print order.
+        build: (stage, impl, space) -> (single-photon ops, note for the
+            dense oracle); None for the measurement marker, which records
+            a detection origin and compiles to no op.
+        composite: accepts ``impl=`` (canonical truth table or element
+            decomposition).
+        sign_domain: the stage only acts on l=+1/-1.
+        ancilla: the decomposed form borrows ``ANCILLA_PATH``.
+    """
+
+    name: str
+    arity: int | None
+    params: tuple[Param, ...]
+    build: Callable[[Stage, str, ModeSpace], tuple[list[CompiledOp], str]] | None
+    composite: bool = False
+    sign_domain: bool = False
+    ancilla: bool = False
+
+
+def _element_ops(elements: list[el.Element], space: ModeSpace) -> list[CompiledOp]:
+    return [CompiledOp(e.describe(), el.element_column(e, space)) for e in elements]
+
+
+def _primitive(name: str, params: tuple[Param, ...], make, sign_domain: bool = False) -> KindSpec:
+    """A kind that compiles to one element; arity is the element's own."""
+
+    def build(stage: Stage, impl: str, space: ModeSpace):
+        values = {k: angle_value(v) if isinstance(v, PiAngle) else v for k, v in stage.params.items()}
+        return _element_ops([make(stage.paths, values)], space), ""
+
+    arity = 2 if name in el.TWO_PATH_KINDS else None
+    return KindSpec(name, arity, params, build, sign_domain=sign_domain)
+
+
+_SIGN_NOTE = "identity outside l=+1/-1"
+
+
+def _build_p_cos(stage: Stage, impl: str, space: ModeSpace):
+    q = Fraction(stage.params.get("q", Fraction(1, 2)))
+    if impl == "canonical":
+        return [CompiledOp(f"p_cos(q={q})", gates.pol_shift_column(q, stage.paths, space))], ""
+    return _element_ops(gates.pol_shift_decomposition(q, stage.paths), space), ""
+
+
+def _build_o_cps(stage: Stage, impl: str, space: ModeSpace):
+    if impl == "canonical":
+        column = el.element_column(el.oam_sorter(*stage.paths), space)
+        return [CompiledOp("o_cps", column)], _SIGN_NOTE
+    elements, _phases = gates.path_router_decomposition(*stage.paths, space)
+    return _element_ops(elements, space), _SIGN_NOTE
+
+
+def _build_oh(stage: Stage, impl: str, space: ModeSpace):
+    if impl == "canonical":
+        return [CompiledOp("oh", gates.oam_hadamard_column(stage.paths))], _SIGN_NOTE
+    elements = [e for p in stage.paths for e in gates.oam_hadamard_decomposition(p, ANCILLA_PATH)]
+    return _element_ops(elements, space), f"{_SIGN_NOTE}; uses ancilla path {ANCILLA_PATH}"
+
+
+def _build_dp_stage(stage: Stage, impl: str, space: ModeSpace):
+    if impl == "canonical":
+        return [CompiledOp("dp_stage", gates.oam_flip_column(stage.paths))], ""
+    note = "exact on the pol/OAM-correlated subspace it is placed after"
+    return _element_ops(gates.oam_flip_decomposition(stage.paths), space), note
+
+
+#: every stage kind, in the order diagnostics list them
+STAGE_KINDS: dict[str, KindSpec] = {
+    spec.name: spec
+    for spec in (
+        _primitive("qwp", (), lambda paths, v: el.qwp(paths)),
+        _primitive("hwp", (Param("theta", "angle"),), lambda paths, v: el.hwp(v["theta"], paths)),
+        _primitive("qp", (Param("q", "fraction"),), lambda paths, v: el.qp(v["q"], paths)),
+        _primitive("spp", (Param("l", "int"),), lambda paths, v: el.spp(v["l"], paths)),
+        _primitive("dp", (Param("alpha", "angle"),), lambda paths, v: el.dp(v["alpha"], paths)),
+        _primitive(
+            "pp",
+            (Param("phi", "angle"), Param("pol", "pol", False), Param("oam", "int", False)),
+            lambda paths, v: el.pp(v["phi"], paths, pol=v.get("pol"), oam=v.get("oam")),
+        ),
+        _primitive("mirror", (), lambda paths, v: el.mirror(paths)),
+        _primitive("bs", (), lambda paths, v: el.bs(*paths)),
+        _primitive("pbs", (), lambda paths, v: el.pbs(*paths)),
+        _primitive("oam_sorter", (), lambda paths, v: el.oam_sorter(*paths), sign_domain=True),
+        _primitive("dl", (), lambda paths, v: el.dl(paths)),
+        KindSpec("p_cos", None, (Param("q", "fraction", False),), _build_p_cos, composite=True),
+        KindSpec("o_cps", 2, (), _build_o_cps, composite=True, sign_domain=True),
+        KindSpec("oh", None, (), _build_oh, composite=True, sign_domain=True, ancilla=True),
+        KindSpec("dp_stage", None, (), _build_dp_stage, composite=True),
+        KindSpec("sppm", 1, (), None, composite=True, sign_domain=True),
+    )
+}
 
 
 # -- parsing ------------------------------------------------------------
@@ -226,9 +315,9 @@ def _parse_stage(tokens: list[tuple[str, int]], lineno: int, declared: tuple[str
             lineno,
             kind_col,
         )
-    schema = _SCHEMA[kind]
-    allow_impl = kind in COMPOSITE_KINDS
-    allowed = set(schema) | {"photon", "paths"} | ({"impl"} if allow_impl else set())
+    spec = STAGE_KINDS[kind]
+    types = {p.key: p.type for p in spec.params}
+    allowed = set(types) | {"photon", "paths"} | ({"impl"} if spec.composite else set())
 
     photon: str | None = None
     paths: tuple[str, ...] | None = None
@@ -278,35 +367,34 @@ def _parse_stage(tokens: list[tuple[str, int]], lineno: int, declared: tuple[str
         elif key == "impl":
             impl = _parse_value("impl", raw, lineno, val_col)
         else:
-            params[key] = _parse_value(schema[key][0], raw, lineno, val_col)
+            params[key] = _parse_value(types[key], raw, lineno, val_col)
 
+    start = tokens[0][1]
     if photon is None:
-        raise CircuitSyntaxError("missing required key photon=", lineno, tokens[0][1])
+        raise CircuitSyntaxError("missing required key photon=", lineno, start)
     if paths is None:
-        raise CircuitSyntaxError("missing required key paths=", lineno, tokens[0][1])
-    for key, (_, required) in schema.items():
-        if required and key not in params:
+        raise CircuitSyntaxError("missing required key paths=", lineno, start)
+    for p in spec.params:
+        if p.required and p.key not in params:
             raise CircuitSyntaxError(
-                f"missing required key {key}= for stage {kind}", lineno, tokens[0][1]
+                f"missing required key {p.key}= for stage {kind}", lineno, start
             )
 
-    if kind in _TWO_PATH_KINDS and len(paths) != 2:
+    if spec.arity is not None and len(paths) != spec.arity:
         raise CircuitSemanticError(
-            f"stage {kind} needs exactly two paths, got {len(paths)}", lineno, tokens[0][1]
+            f"stage {kind} needs exactly {('one path', 'two paths')[spec.arity - 1]}, "
+            f"got {len(paths)}",
+            lineno,
+            start,
         )
-    if kind in _TWO_PATH_KINDS and paths[0] == paths[1]:
+    if spec.arity == 2 and paths[0] == paths[1]:
         raise CircuitSemanticError(
-            f"stage {kind} placed on the same path twice ({paths[0]})", lineno, tokens[0][1]
+            f"stage {kind} placed on the same path twice ({paths[0]})", lineno, start
         )
-    if kind in _ONE_PATH_KINDS and len(paths) != 1:
-        raise CircuitSemanticError(
-            f"stage {kind} needs exactly one path, got {len(paths)}", lineno, tokens[0][1]
-        )
-    if kind in ("qp", "p_cos"):
-        q = params.get("q", Fraction(1, 2))
-        if (2 * Fraction(q)).denominator != 1:
+    for key, value in params.items():
+        if types[key] == "fraction" and (2 * value).denominator != 1:
             raise CircuitSemanticError(
-                f"q must be an integer or half-integer, got {q}", lineno, tokens[0][1]
+                f"{key} must be an integer or half-integer, got {value}", lineno, start
             )
 
     return Stage(kind, photon, paths, params, impl, lineno)
@@ -414,175 +502,13 @@ def print_circuit(circuit: Circuit) -> str:
         out.append("paths " + " ".join(circuit.paths))
     for stage in circuit.stages:
         parts = [f"stage {stage.kind}", f"photon={stage.photon}", f"paths={','.join(stage.paths)}"]
-        order = _KEY_ORDER.get(stage.kind, tuple(sorted(_SCHEMA[stage.kind])))
-        for key in order:
-            if key in stage.params:
-                parts.append(f"{key}={_format_value(stage.params[key])}")
-        for key in sorted(stage.params):
-            if key not in order:
-                parts.append(f"{key}={_format_value(stage.params[key])}")
+        order = [p.key for p in STAGE_KINDS[stage.kind].params]
+        order += sorted(k for k in stage.params if k not in order)
+        parts += [f"{k}={_format_value(stage.params[k])}" for k in order if k in stage.params]
         if stage.impl != "canonical":
             parts.append(f"impl={stage.impl}")
         out.append(" ".join(parts))
     return "\n".join(out) + "\n"
-
-
-# -- static validation --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ValidationIssue:
-    severity: str  # "error" | "warning" | "note"
-    stage_index: int | None
-    message: str
-
-    def __str__(self) -> str:
-        where = f"stage {self.stage_index + 1}: " if self.stage_index is not None else ""
-        return f"{self.severity}: {where}{self.message}"
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    issues: tuple[ValidationIssue, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not any(i.severity == "error" for i in self.issues)
-
-    def __str__(self) -> str:
-        if not self.issues:
-            return "validation: clean"
-        return "\n".join(str(i) for i in self.issues)
-
-
-_SIGN_DOMAIN_KINDS = {"o_cps", "oh", "oam_sorter", "sppm"}
-
-
-def validate(circuit: Circuit) -> ValidationReport:
-    """Static checks: placements, and OAM bounds for the reference inputs.
-
-    The OAM analysis tracks the set of reachable OAM values per
-    (photon, path), starting from l=0 on every declared path (the
-    analyzer's input class), and flags any stage that could push an index
-    past the bound or feed a sign-domain device outside l=+1/-1.
-    Never raises; problems are returned as issues.
-    """
-    issues: list[ValidationIssue] = []
-    declared = set(circuit.paths)
-
-    reach: dict[tuple[str, str], set[int]] = {
-        (photon, path): {0} for photon in circuit.photons for path in circuit.paths
-    }
-
-    def shift_set(vals: set[int], by: int, idx: int, what: str) -> set[int]:
-        out = set()
-        for v in vals:
-            n = v + by
-            if abs(n) > circuit.lmax:
-                issues.append(
-                    ValidationIssue(
-                        "error",
-                        idx,
-                        f"{what} drives OAM {v:+d} to {n:+d}, outside lmax={circuit.lmax}",
-                    )
-                )
-            else:
-                out.add(n)
-        return out or vals
-
-    for idx, stage in enumerate(circuit.stages):
-        for p in stage.paths:
-            if p not in declared:
-                issues.append(
-                    ValidationIssue("error", idx, f"path {p!r} is not declared")
-                )
-        if stage.photon not in circuit.photons:
-            issues.append(
-                ValidationIssue("error", idx, f"photon {stage.photon!r} is not declared")
-            )
-        if stage.kind in _TWO_PATH_KINDS and len(stage.paths) == 2 and stage.paths[0] == stage.paths[1]:
-            issues.append(
-                ValidationIssue("error", idx, f"{stage.kind} placed twice on {stage.paths[0]!r}")
-            )
-        if any(p not in declared for p in stage.paths) or stage.photon not in circuit.photons:
-            continue
-
-        keys = [(stage.photon, p) for p in stage.paths]
-        if stage.kind in ("mirror", "dp", "dp_stage"):
-            for k in keys:
-                reach[k] = {-v for v in reach[k]}
-        elif stage.kind == "spp":
-            for k in keys:
-                reach[k] = shift_set(reach[k], int(stage.params["l"]), idx, "spiral plate")
-        elif stage.kind in ("qp", "p_cos"):
-            q = Fraction(stage.params.get("q", Fraction(1, 2)))
-            s = int(2 * q)
-            for k in keys:
-                up = shift_set(reach[k], s, idx, stage.kind)
-                down = shift_set(reach[k], -s, idx, stage.kind)
-                reach[k] = up | down
-        elif stage.kind in ("bs", "pbs"):
-            union = reach[keys[0]] | reach[keys[1]]
-            reach[keys[0]] = reach[keys[1]] = set(union)
-        elif stage.kind in ("o_cps", "oam_sorter"):
-            a, b = keys
-            bad = (reach[a] | reach[b]) - {1, -1}
-            if bad:
-                issues.append(
-                    ValidationIssue(
-                        "warning",
-                        idx,
-                        f"{stage.kind} may receive OAM outside +1/-1 "
-                        f"({sorted(bad)}) for the reference inputs",
-                    )
-                )
-            new_a = ({1} & reach[a]) | ({-1} & reach[b]) | bad
-            new_b = ({1} & reach[b]) | ({-1} & reach[a]) | bad
-            reach[a], reach[b] = new_a or reach[a], new_b or reach[b]
-            issues.append(
-                ValidationIssue(
-                    "note", idx, f"{stage.kind} domain restricted to l=+1/-1"
-                )
-            )
-        elif stage.kind == "oh":
-            for k in keys:
-                bad = reach[k] - {1, -1}
-                if bad:
-                    issues.append(
-                        ValidationIssue(
-                            "warning",
-                            idx,
-                            f"oh may receive OAM outside +1/-1 ({sorted(bad)}) "
-                            "for the reference inputs",
-                        )
-                    )
-                reach[k] = (reach[k] & {1, -1}) | {1, -1} if reach[k] & {1, -1} else reach[k]
-            issues.append(ValidationIssue("note", idx, "oh domain restricted to l=+1/-1"))
-        elif stage.kind == "sppm":
-            bad = reach[keys[0]] - {1, -1}
-            if bad:
-                issues.append(
-                    ValidationIssue(
-                        "warning",
-                        idx,
-                        f"sppm may receive OAM outside +1/-1 ({sorted(bad)}) "
-                        "for the reference inputs",
-                    )
-                )
-        # qwp/hwp/pp/dl leave OAM untouched
-
-    used = {p for s in circuit.stages for p in s.paths}
-    for p in circuit.paths:
-        if p not in used:
-            issues.append(
-                ValidationIssue(
-                    "note",
-                    None,
-                    f"path {p!r} is declared but not used by any stage "
-                    "(reserved for measurement internals)",
-                )
-            )
-    return ValidationReport(tuple(issues))
 
 
 # -- built-in circuits --------------------------------------------------

@@ -29,8 +29,8 @@ from .circuit import (
     builtin_document,
     parse_circuit,
     print_circuit,
-    validate,
 )
+from .engine import validate
 from .errors import BellSimError, CircuitSemanticError, CircuitSyntaxError
 
 __all__ = ["main", "build_parser"]
@@ -271,6 +271,8 @@ def _cmd_export_table(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.n_random < 0:
+        raise _Usage("--n-random must be >= 0")
     circuit = _load_circuit(args)
     report = analyzer.oracle_check(args.impl, circuit, args.n_random, args.seed)
     if args.format == "json":

@@ -59,27 +59,20 @@ __all__ = [
     "pbs",
     "oam_sorter",
     "dl",
+    "TWO_PATH_KINDS",
+    "qp_shift",
     "element_column",
+    "apply_column",
     "apply_element",
     "apply_elements",
-    "apply_qwp",
-    "apply_hwp",
-    "apply_qp",
-    "apply_spp",
-    "apply_dp",
-    "apply_pp",
-    "apply_mirror",
-    "apply_bs",
-    "apply_pbs",
-    "apply_oam_sorter",
 ]
 
 ColumnFn = Callable[[BasisMode], "list[tuple[BasisMode, complex]]"]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-_ONE_PATH_KINDS = {"qwp", "hwp", "qp", "spp", "dp", "pp", "mirror", "dl"}
-_TWO_PATH_KINDS = {"bs", "pbs", "oam_sorter"}
+#: kinds placed on exactly two ordered paths; every other kind takes one or more
+TWO_PATH_KINDS = frozenset({"bs", "pbs", "oam_sorter"})
 
 
 @dataclass(frozen=True)
@@ -99,16 +92,13 @@ class Element:
     params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind in _TWO_PATH_KINDS:
+        if self.kind in TWO_PATH_KINDS:
             if len(self.paths) != 2:
                 raise SamePath(f"{self.kind} needs exactly two paths, got {self.paths}")
             if self.paths[0] == self.paths[1]:
                 raise SamePath(f"{self.kind} placed twice on path {self.paths[0]!r}")
-        elif self.kind in _ONE_PATH_KINDS:
-            if not self.paths:
-                raise ValueError(f"{self.kind} needs at least one path")
-        else:
-            raise ValueError(f"unknown element kind {self.kind!r}")
+        elif not self.paths:
+            raise ValueError(f"{self.kind} needs at least one path")
 
     def describe(self) -> str:
         ps = ",".join(self.paths)
@@ -139,11 +129,15 @@ def hwp(theta: float, paths: Union[str, Iterable[str]]) -> Element:
 
 def qp(q: Union[Fraction, float, int], paths: Union[str, Iterable[str]]) -> Element:
     """q-plate of charge q; 2q must be an integer."""
-    shift = _qp_shift(q)
-    return Element("qp", _paths_tuple(paths), {"q": q, "shift": shift})
+    return Element("qp", _paths_tuple(paths), {"q": q, "shift": qp_shift(q)})
 
 
-def _qp_shift(q: Union[Fraction, float, int]) -> int:
+def qp_shift(q: Union[Fraction, float, int]) -> int:
+    """OAM shift 2q of a q-plate of charge q.
+
+    Raises:
+        NonPhysicalQ: if 2q is not an integer.
+    """
     doubled = 2 * Fraction(q) if isinstance(q, (Fraction, int)) else 2.0 * q
     if isinstance(doubled, Fraction):
         if doubled.denominator != 1:
@@ -359,7 +353,7 @@ def element_column(element: Element, space: ModeSpace) -> ColumnFn:
             return [(mode, 1.0 + 0.0j)]
         return col
 
-    raise ValueError(f"unknown element kind {kind!r}")  # pragma: no cover
+    raise ValueError(f"unknown element kind {kind!r}")
 
 
 # -- application to single-photon states --------------------------------
@@ -382,49 +376,3 @@ def apply_elements(state: PhotonState, elements: Iterable[Element]) -> PhotonSta
     for el in elements:
         state = apply_element(state, el)
     return state
-
-
-def apply_qwp(state: PhotonState, paths: Union[str, Iterable[str]]) -> PhotonState:
-    return apply_element(state, qwp(paths))
-
-
-def apply_hwp(state: PhotonState, theta: float, paths: Union[str, Iterable[str]]) -> PhotonState:
-    return apply_element(state, hwp(theta, paths))
-
-
-def apply_qp(state: PhotonState, q: Union[Fraction, float, int], paths: Union[str, Iterable[str]]) -> PhotonState:
-    return apply_element(state, qp(q, paths))
-
-
-def apply_spp(state: PhotonState, l: int, paths: Union[str, Iterable[str]]) -> PhotonState:
-    return apply_element(state, spp(l, paths))
-
-
-def apply_dp(state: PhotonState, alpha: float, paths: Union[str, Iterable[str]]) -> PhotonState:
-    return apply_element(state, dp(alpha, paths))
-
-
-def apply_pp(
-    state: PhotonState,
-    phi: float,
-    paths: Union[str, Iterable[str]],
-    pol: str | None = None,
-    oam: int | None = None,
-) -> PhotonState:
-    return apply_element(state, pp(phi, paths, pol=pol, oam=oam))
-
-
-def apply_mirror(state: PhotonState, paths: Union[str, Iterable[str]]) -> PhotonState:
-    return apply_element(state, mirror(paths))
-
-
-def apply_bs(state: PhotonState, path_x: str, path_y: str) -> PhotonState:
-    return apply_element(state, bs(path_x, path_y))
-
-
-def apply_pbs(state: PhotonState, path_x: str, path_y: str) -> PhotonState:
-    return apply_element(state, pbs(path_x, path_y))
-
-
-def apply_oam_sorter(state: PhotonState, path_x: str, path_y: str) -> PhotonState:
-    return apply_element(state, oam_sorter(path_x, path_y))

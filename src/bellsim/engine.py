@@ -1,12 +1,15 @@
-"""Compilation and propagation of circuits, plus a dense matrix oracle.
+"""Compilation, static validation and propagation of circuits, plus a
+dense matrix oracle.
 
 ``compile_circuit`` turns a parsed :class:`~bellsim.circuit.Circuit` into a
 :class:`Plan`: a flat list of single-photon column operators (canonical
 gate columns or their element decompositions), the measurement origins
 declared by ``sppm`` stages, and checkpoint positions after the last
-stage of each kind.  ``propagate`` pushes a sparse two-photon state
-through the plan; ``assemble`` independently builds dense per-photon
-matrices for the same plan so the two evolutions can be cross-checked.
+stage of each kind.  ``validate`` walks the same operators over the
+modes the analyzer's inputs can reach, for every plan the CLI can run.
+``propagate`` pushes a sparse two-photon state through the plan;
+``assemble`` independently builds dense per-photon matrices for the same
+plan so the two evolutions can be cross-checked.
 
 The dense form is kept factored as (U_A, U_B): the joint operator is
 their Kronecker product, which is only materialized on request.  A
@@ -16,14 +19,11 @@ per-photon dimension cap guards against accidentally huge spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from . import elements as el
-from . import gates
-from .circuit import Circuit, Stage, angle_value
-from .elements import ColumnFn, Element
+from .circuit import ANCILLA_PATH, STAGE_KINDS, Circuit, CompiledOp
+from .elements import ColumnFn
 from .errors import (
     BellSimError,
     DimensionCap,
@@ -31,13 +31,16 @@ from .errors import (
     OamOverflow,
     UnsortableOam,
 )
-from .state import DROP_EPS, ModeSpace, TwoPhotonState, _clean
+from .state import DROP_EPS, POLARIZATIONS, BasisMode, ModeSpace, TwoPhotonState, _clean
 
 __all__ = [
     "CompiledOp",
     "CompiledStage",
     "Plan",
     "compile_circuit",
+    "ValidationIssue",
+    "ValidationReport",
+    "validate",
     "apply_column_to_photon",
     "propagate",
     "propagate_with_checkpoints",
@@ -52,17 +55,10 @@ __all__ = [
 #: per-photon dense dimension guard (the joint space is this squared)
 MAX_PHOTON_DIMENSION = 10_000
 
-#: scoped path label for the decomposed OAM-Hadamard interferometer;
-#: starts with an underscore so it can never collide with a parsed label
-ANCILLA_PATH = "_mzi"
-
 DEFAULT_ORIGINS = {"A": ("a1", "b1"), "B": ("a2", "b2")}
 
-
-@dataclass(frozen=True)
-class CompiledOp:
-    label: str
-    column: ColumnFn
+_IMPLS = (None, "canonical", "decomposed")
+_SEVERITIES = ("error", "warning", "note")
 
 
 @dataclass(frozen=True)
@@ -87,77 +83,19 @@ class Plan:
     checkpoints: tuple[tuple[str, int], ...]  # (kind, compiled-stage count)
 
 
-def _element_ops(stage: Stage, space: ModeSpace) -> list[CompiledOp]:
-    kind, paths, params = stage.kind, stage.paths, stage.params
-    if kind == "qwp":
-        elem = el.qwp(paths)
-    elif kind == "hwp":
-        elem = el.hwp(angle_value(params["theta"]), paths)
-    elif kind == "qp":
-        elem = el.qp(params["q"], paths)
-    elif kind == "spp":
-        elem = el.spp(params["l"], paths)
-    elif kind == "dp":
-        elem = el.dp(angle_value(params["alpha"]), paths)
-    elif kind == "pp":
-        elem = el.pp(
-            angle_value(params["phi"]),
-            paths,
-            pol=params.get("pol"),
-            oam=params.get("oam"),
-        )
-    elif kind == "mirror":
-        elem = el.mirror(paths)
-    elif kind == "bs":
-        elem = el.bs(*paths)
-    elif kind == "pbs":
-        elem = el.pbs(*paths)
-    elif kind == "oam_sorter":
-        elem = el.oam_sorter(*paths)
-    elif kind == "dl":
-        elem = el.dl(paths)
-    else:  # pragma: no cover
-        raise AssertionError(kind)
-    return [CompiledOp(elem.describe(), el.element_column(elem, space))]
-
-
-def _composite_ops(stage: Stage, impl: str, space: ModeSpace) -> tuple[list[CompiledOp], str]:
-    kind, paths = stage.kind, stage.paths
-    note = ""
-    if impl == "canonical":
-        if kind == "p_cos":
-            q = Fraction(stage.params.get("q", Fraction(1, 2)))
-            ops = [CompiledOp(f"p_cos(q={q})", gates.pol_shift_column(q, paths, space))]
-        elif kind == "o_cps":
-            ops = [CompiledOp("o_cps", gates.path_router_column(paths[0], paths[1]))]
-            note = "identity outside l=+1/-1"
-        elif kind == "oh":
-            ops = [CompiledOp("oh", gates.oam_hadamard_column(paths))]
-            note = "identity outside l=+1/-1"
-        elif kind == "dp_stage":
-            ops = [CompiledOp("dp_stage", gates.oam_flip_column(paths))]
-        else:  # pragma: no cover
-            raise AssertionError(kind)
-        return ops, note
-
-    if kind == "p_cos":
-        q = Fraction(stage.params.get("q", Fraction(1, 2)))
-        elems = gates.pol_shift_decomposition(q, paths)
-    elif kind == "o_cps":
-        elems, _phases = gates.path_router_decomposition(paths[0], paths[1], space)
-        note = "identity outside l=+1/-1"
-    elif kind == "oh":
-        elems = []
-        for p in paths:
-            elems.extend(gates.oam_hadamard_decomposition(p, ANCILLA_PATH))
-        note = "identity outside l=+1/-1; uses ancilla path " + ANCILLA_PATH
-    elif kind == "dp_stage":
-        elems = gates.oam_flip_decomposition(paths)
-        note = "exact on the pol/OAM-correlated subspace it is placed after"
-    else:  # pragma: no cover
-        raise AssertionError(kind)
-    ops = [CompiledOp(e.describe(), el.element_column(e, space)) for e in elems]
-    return ops, note
+def _resolve(circuit: Circuit, impl_override: str | None):
+    """Per-stage impl, and the plan's space and ancilla under an override."""
+    if impl_override not in _IMPLS:
+        raise ValueError(f"bad impl override: {impl_override!r}")
+    specs = [STAGE_KINDS[s.kind] for s in circuit.stages]
+    impls = tuple(
+        (impl_override or s.impl) if spec.composite else "canonical"
+        for s, spec in zip(circuit.stages, specs)
+    )
+    space = circuit.space()
+    if any(spec.ancilla and impl == "decomposed" for spec, impl in zip(specs, impls)):
+        return impls, space.extended((ANCILLA_PATH,)), ANCILLA_PATH
+    return impls, space, None
 
 
 def compile_circuit(circuit: Circuit, impl_override: str | None = None) -> Plan:
@@ -168,40 +106,19 @@ def compile_circuit(circuit: Circuit, impl_override: str | None = None) -> Plan:
     calibration for decomposed ``o_cps`` stages runs here, so a
     calibration problem surfaces at compile time with the stage named.
     """
-    if impl_override not in (None, "canonical", "decomposed"):
-        raise ValueError(f"bad impl override: {impl_override!r}")
-
-    resolved: list[tuple[Stage, int, str]] = []
-    needs_ancilla = False
-    for idx, stage in enumerate(circuit.stages):
-        if stage.kind in ("p_cos", "o_cps", "oh", "dp_stage", "sppm"):
-            impl = impl_override or stage.impl
-        else:
-            impl = "canonical"
-        if stage.kind == "oh" and impl == "decomposed":
-            needs_ancilla = True
-        resolved.append((stage, idx, impl))
-
-    space = circuit.space()
-    ancilla = None
-    if needs_ancilla:
-        ancilla = ANCILLA_PATH
-        space = space.extended((ancilla,))
-
+    impls, space, ancilla = _resolve(circuit, impl_override)
     compiled: list[CompiledStage] = []
     origins: dict[str, list[str]] = {p: [] for p in circuit.photons}
     sppm_impl: dict[str, str] = {}
-    for stage, idx, impl in resolved:
+    for idx, (stage, impl) in enumerate(zip(circuit.stages, impls)):
+        build = STAGE_KINDS[stage.kind].build
         label = stage.header()
-        if stage.kind == "sppm":
+        if build is None:
             origins[stage.photon].append(stage.paths[0])
             sppm_impl[stage.paths[0]] = impl
             continue
         try:
-            if stage.kind in ("p_cos", "o_cps", "oh", "dp_stage"):
-                ops, note = _composite_ops(stage, impl, space)
-            else:
-                ops, note = _element_ops(stage, space), ""
+            ops, note = build(stage, impl, space)
         except BellSimError as exc:
             raise type(exc)(f"stage {idx + 1} ({label}): {exc}") from exc
         compiled.append(CompiledStage(idx, stage.kind, stage.photon, impl, label, tuple(ops), note))
@@ -213,15 +130,7 @@ def compile_circuit(circuit: Circuit, impl_override: str | None = None) -> Plan:
             for p in fallback:
                 sppm_impl.setdefault(p, "canonical")
 
-    last_by_kind: dict[str, int] = {}
-    for stage, idx, _impl in resolved:
-        if stage.kind != "sppm":
-            last_by_kind[stage.kind] = idx
-    checkpoints = []
-    for kind, src_idx in sorted(last_by_kind.items(), key=lambda kv: kv[1]):
-        count = sum(1 for cs in compiled if cs.index <= src_idx)
-        checkpoints.append((kind, count))
-
+    last_count = {cs.kind: count for count, cs in enumerate(compiled, start=1)}
     return Plan(
         circuit=circuit,
         space=space,
@@ -229,8 +138,152 @@ def compile_circuit(circuit: Circuit, impl_override: str | None = None) -> Plan:
         stages=tuple(compiled),
         origins={p: tuple(v) for p, v in origins.items()},
         sppm_impl=sppm_impl,
-        checkpoints=tuple(checkpoints),
+        checkpoints=tuple(sorted(last_count.items(), key=lambda kv: kv[1])),
     )
+
+
+# -- static validation --------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ValidationIssue:
+    severity: str  # "error" | "warning" | "note"
+    stage_index: int | None
+    message: str
+
+    def __str__(self) -> str:
+        where = f"stage {self.stage_index + 1}: " if self.stage_index is not None else ""
+        return f"{self.severity}: {where}{self.message}"
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    issues: tuple[ValidationIssue, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not any(i.severity == "error" for i in self.issues)
+
+    def __str__(self) -> str:
+        if not self.issues:
+            return "validation: clean"
+        return "\n".join(str(i) for i in self.issues)
+
+
+def _walk(circuit: Circuit, impls: tuple[str, ...], space: ModeSpace, ancilla: str | None):
+    """Push the reachable modes of the l=0 input class through each stage's ops.
+
+    A mode a sign-domain column cannot take passes through unchanged, the
+    same identity fallback ``assemble`` uses.
+    """
+    issues: list[ValidationIssue] = []
+    reach = {
+        photon: {BasisMode(pol, 0, path) for path in circuit.paths for pol in POLARIZATIONS}
+        for photon in circuit.photons
+    }
+    for idx, (stage, impl) in enumerate(zip(circuit.stages, impls)):
+        spec = STAGE_KINDS[stage.kind]
+        modes = reach[stage.photon]
+        if spec.build is None:
+            bad = {m.oam for m in modes if m.path == stage.paths[0] and abs(m.oam) != 1}
+            ops = []
+        else:
+            bad = set()
+            try:
+                ops, _note = spec.build(stage, impl, space)
+            except BellSimError as exc:
+                issues.append(ValidationIssue("error", idx, str(exc)))
+                ops = []
+        for op in ops:
+            image = set()
+            for mode in modes:
+                try:
+                    image.update(m for m, c in op.column(mode) if abs(c) > DROP_EPS)
+                except UnsortableOam:
+                    bad.add(mode.oam)
+                    image.add(mode)
+                except BellSimError as exc:
+                    issues.append(ValidationIssue("error", idx, str(exc)))
+            modes = image
+        leaked = {m for m in modes if m.path == ancilla}
+        if leaked:
+            issues.append(
+                ValidationIssue("error", idx, f"{stage.kind} may leave light on ancilla path {ancilla}")
+            )
+        reach[stage.photon] = modes - leaked
+        if bad:
+            issues.append(
+                ValidationIssue(
+                    "warning",
+                    idx,
+                    f"{stage.kind} may receive OAM outside +1/-1 ({sorted(bad)}) "
+                    "for the reference inputs",
+                )
+            )
+        if spec.sign_domain and spec.build is not None:
+            issues.append(ValidationIssue("note", idx, f"{stage.kind} domain restricted to l=+1/-1"))
+    return issues
+
+
+def validate(circuit: Circuit) -> ValidationReport:
+    """Static checks: placements, then every plan the CLI can run.
+
+    The plans are the circuit as written and each impl override that
+    yields a different one.  Each is compiled stage by stage, and the set
+    of modes reachable from l=0, both polarizations, on every declared
+    path (the analyzer's input class) is pushed through the compiled ops'
+    own column functions.  A compile failure or ``OamOverflow`` is an
+    error, ``UnsortableOam`` a warning, and a mode left on the ancilla
+    path after a stage an error.  Identical issues are merged; one seen
+    under only some impls names them.  Never raises; problems are
+    returned as issues.
+    """
+    issues: list[ValidationIssue] = []
+    declared = set(circuit.paths)
+    for idx, stage in enumerate(circuit.stages):
+        spec = STAGE_KINDS.get(stage.kind)
+        if spec is None:
+            issues.append(ValidationIssue("error", idx, f"unknown stage kind {stage.kind!r}"))
+        for p in stage.paths:
+            if p not in declared:
+                issues.append(ValidationIssue("error", idx, f"path {p!r} is not declared"))
+        if stage.photon not in circuit.photons:
+            issues.append(
+                ValidationIssue("error", idx, f"photon {stage.photon!r} is not declared")
+            )
+        if spec and spec.arity == 2 and len(stage.paths) == 2 and stage.paths[0] == stage.paths[1]:
+            issues.append(
+                ValidationIssue("error", idx, f"{stage.kind} placed twice on {stage.paths[0]!r}")
+            )
+
+    if not issues:
+        variants: dict[tuple, list] = {}
+        for override in _IMPLS:
+            variants.setdefault(_resolve(circuit, override), []).append(override)
+        found: dict[ValidationIssue, list[str]] = {}
+        for resolved, overrides in variants.items():
+            name = " and ".join(o for o in overrides if o) or "as written"
+            for issue in dict.fromkeys(_walk(circuit, *resolved)):
+                found.setdefault(issue, []).append(name)
+        for issue, names in found.items():
+            if len(names) < len(variants):
+                message = f"{issue.message} ({' and '.join(names)} only)"
+                issue = ValidationIssue(issue.severity, issue.stage_index, message)
+            issues.append(issue)
+        issues.sort(key=lambda i: (i.stage_index, _SEVERITIES.index(i.severity)))
+
+    used = {p for s in circuit.stages for p in s.paths}
+    for p in circuit.paths:
+        if p not in used:
+            issues.append(
+                ValidationIssue(
+                    "note",
+                    None,
+                    f"path {p!r} is declared but not used by any stage "
+                    "(reserved for measurement internals)",
+                )
+            )
+    return ValidationReport(tuple(issues))
 
 
 # -- sparse propagation -------------------------------------------------
@@ -247,14 +300,6 @@ def apply_column_to_photon(state: TwoPhotonState, photon: str, column: ColumnFn)
     return TwoPhotonState(state.space, _clean(out))
 
 
-def _ancilla_norm(state: TwoPhotonState, ancilla: str) -> float:
-    total = 0.0
-    for (ma, mb), amp in state.amplitudes.items():
-        if ma.path == ancilla or mb.path == ancilla:
-            total += abs(amp) ** 2
-    return total
-
-
 def restrict_to_circuit(plan: Plan, state: TwoPhotonState, where: str = "state") -> TwoPhotonState:
     """Strip the compile-time ancilla path, checking it carries no light.
 
@@ -264,16 +309,16 @@ def restrict_to_circuit(plan: Plan, state: TwoPhotonState, where: str = "state")
     """
     if plan.ancilla is None or state.space == plan.circuit.space():
         return state
-    leak = _ancilla_norm(state, plan.ancilla)
-    if leak > 1e-10:
-        raise LeakedAmplitude(
-            f"{where}: probability {leak:.3e} left on ancilla path {plan.ancilla}"
-        )
     kept = {
         key: amp
         for key, amp in state.amplitudes.items()
         if key[0].path != plan.ancilla and key[1].path != plan.ancilla
     }
+    leak = sum(abs(amp) ** 2 for key, amp in state.amplitudes.items() if key not in kept)
+    if leak > 1e-10:
+        raise LeakedAmplitude(
+            f"{where}: probability {leak:.3e} left on ancilla path {plan.ancilla}"
+        )
     return TwoPhotonState(plan.circuit.space(), kept)
 
 

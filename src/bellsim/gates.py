@@ -11,7 +11,8 @@ Gates:
 * pol-controlled OAM shift (circuit kind ``p_cos``): H gains +2q OAM,
   V gains -2q, polarization untouched.
 * OAM-controlled path router (circuit kind ``o_cps``): on a path pair,
-  l=+1 keeps its path and l=-1 crosses; a two-path interferometer.
+  l=+1 keeps its path and l=-1 crosses.  Its canonical action is the OAM
+  sorter's column; the decomposition is a two-path interferometer.
 * OAM Hadamard (circuit kind ``oh``): Hadamard on the l=+1/-1 sector of
   one path, polarization untouched.
 * OAM flip stage (circuit kind ``dp_stage``): phase-free l -> -l.
@@ -28,7 +29,7 @@ from typing import Callable, Iterable, Sequence, Union
 from .elements import (
     ColumnFn,
     Element,
-    apply_column,
+    _paths_tuple,
     apply_elements,
     bs,
     dp,
@@ -38,6 +39,7 @@ from .elements import (
     oam_sorter,
     pp,
     qp,
+    qp_shift,
     qwp,
     spp,
 )
@@ -53,15 +55,9 @@ from .state import (
 )
 
 __all__ = [
-    "GATE_KINDS",
     "pol_shift_column",
-    "path_router_column",
     "oam_hadamard_column",
     "oam_flip_column",
-    "apply_pol_shift",
-    "apply_path_router",
-    "apply_oam_hadamard",
-    "apply_oam_flip",
     "pol_shift_decomposition",
     "path_router_stage_groups",
     "path_router_decomposition",
@@ -75,20 +71,13 @@ __all__ = [
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-#: registered composite gate names (the measurement front-end is the fourth)
-GATE_KINDS = ("p_cos", "o_cps", "oh", "sppm_front")
-
-
-def _paths_tuple(paths: Union[str, Iterable[str]]) -> tuple[str, ...]:
-    return (paths,) if isinstance(paths, str) else tuple(paths)
-
 
 # -- canonical truth tables ---------------------------------------------
 
 
 def pol_shift_column(q: Union[Fraction, float, int], paths: Union[str, Iterable[str]], space: ModeSpace) -> ColumnFn:
     """Canonical pol-controlled OAM shift: |H,l> -> |H,l+2q>, |V,l> -> |V,l-2q>."""
-    shift = _shift_of(q)
+    shift = qp_shift(q)
     scope = frozenset(_paths_tuple(paths))
 
     def col(mode: BasisMode) -> list[tuple[BasisMode, complex]]:
@@ -101,36 +90,6 @@ def pol_shift_column(q: Union[Fraction, float, int], paths: Union[str, Iterable[
                 f"outside lmax={space.lmax}"
             )
         return [(BasisMode(mode.pol, new, mode.path), 1.0 + 0.0j)]
-
-    return col
-
-
-def _shift_of(q: Union[Fraction, float, int]) -> int:
-    doubled = 2 * Fraction(q) if isinstance(q, (Fraction, int)) else 2.0 * float(q)
-    if isinstance(doubled, Fraction):
-        if doubled.denominator != 1:
-            raise CalibrationFailure(f"2q must be an integer, got q={q}")
-        return int(doubled)
-    if abs(doubled - round(doubled)) > 1e-9:
-        raise CalibrationFailure(f"2q must be an integer, got q={q}")
-    return int(round(doubled))
-
-
-def path_router_column(path_a: str, path_b: str) -> ColumnFn:
-    """Canonical OAM-controlled router: +1 keeps its path, -1 crosses."""
-
-    def col(mode: BasisMode) -> list[tuple[BasisMode, complex]]:
-        if mode.path not in (path_a, path_b):
-            return [(mode, 1.0 + 0.0j)]
-        if mode.oam == 1:
-            return [(mode, 1.0 + 0.0j)]
-        if mode.oam == -1:
-            other = path_b if mode.path == path_a else path_a
-            return [(BasisMode(mode.pol, mode.oam, other), 1.0 + 0.0j)]
-        raise UnsortableOam(
-            f"path router on ({path_a},{path_b}) received l={mode.oam:+d}; "
-            "its domain is l=+1/-1"
-        )
 
     return col
 
@@ -165,22 +124,6 @@ def oam_flip_column(paths: Union[str, Iterable[str]]) -> ColumnFn:
         return [(BasisMode(mode.pol, -mode.oam, mode.path), 1.0 + 0.0j)]
 
     return col
-
-
-def apply_pol_shift(state: PhotonState, q, paths) -> PhotonState:
-    return apply_column(state, pol_shift_column(q, paths, state.space))
-
-
-def apply_path_router(state: PhotonState, path_a: str, path_b: str) -> PhotonState:
-    return apply_column(state, path_router_column(path_a, path_b))
-
-
-def apply_oam_hadamard(state: PhotonState, paths) -> PhotonState:
-    return apply_column(state, oam_hadamard_column(paths))
-
-
-def apply_oam_flip(state: PhotonState, paths) -> PhotonState:
-    return apply_column(state, oam_flip_column(paths))
 
 
 # -- decompositions -----------------------------------------------------
@@ -291,7 +234,7 @@ def path_router_decomposition(
     base: list[Element] = []
     for _, els in path_router_stage_groups(path_a, path_b):
         base.extend(els)
-    canonical = path_router_column(path_a, path_b)
+    canonical = element_column(oam_sorter(path_a, path_b), space)
     probes = _router_probe_modes(path_a, path_b, space)
     phases = solve_calibration(base, canonical, probes, space)
     plates = [

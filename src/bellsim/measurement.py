@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple
 from .elements import Element, element_column, oam_sorter, pbs
 from .engine import apply_column_to_photon
 from .errors import CalibrationFailure, LeakedAmplitude, MalformedPattern, UnsortableOam
-from .state import POL_H, POL_V, POLARIZATIONS, BasisMode, ModeSpace, TwoPhotonState
+from .state import POL_H, POL_V, POLARIZATIONS, BasisMode, TwoPhotonState
 
 __all__ = [
     "DetectorId",
@@ -37,7 +37,6 @@ __all__ = [
     "sppm_front_elements",
     "sppm_front_column",
     "sppm_project",
-    "crosscheck_sppm",
     "PROBABILITY_TOL",
 ]
 
@@ -196,13 +195,7 @@ def _port_map(origin: str) -> dict[BasisMode, DetectorId]:
 
 def sppm_front_column(origin: str):
     """Canonical sorter block: a pure permutation onto the output ports."""
-    c, d, e = _scoped(origin)
-    targets = {
-        (POL_H, 1): origin,
-        (POL_H, -1): c,
-        (POL_V, 1): d,
-        (POL_V, -1): e,
-    }
+    targets = {(port.pol, port.oam): port.path for port in _port_map(origin)}
 
     def col(mode: BasisMode) -> list[tuple[BasisMode, complex]]:
         if mode.path != origin:
@@ -307,18 +300,3 @@ def sppm_project(
     else:
         raise ValueError(f"bad impl: {impl!r}")
     return OutcomeDistribution(origins_a, origins_b, probs)
-
-
-def crosscheck_sppm(
-    state: TwoPhotonState,
-    origins_a: Iterable[str],
-    origins_b: Iterable[str],
-) -> float:
-    """Worst-case |direct - routed| probability difference (test hook)."""
-    origins_a = tuple(origins_a)
-    origins_b = tuple(origins_b)
-    _check_measurable(state, origins_a, origins_b)
-    direct = _direct_probs(state)
-    routed = _routed_probs(state, origins_a, origins_b)
-    keys = set(direct) | set(routed)
-    return max(abs(direct.get(k, 0.0) - routed.get(k, 0.0)) for k in keys)

@@ -18,7 +18,6 @@ Conventions pinned here (and relied on everywhere else):
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
@@ -327,8 +326,3 @@ def circular_state(space: ModeSpace, which: str, oam: int, path: str) -> PhotonS
         for pol, amp in CIRCULAR_EXPANSION[which].items()
     }
     return PhotonState(space, amps)
-
-
-def phase_of(amp: complex) -> float:
-    """Argument of a complex amplitude (radians); helper for reports."""
-    return cmath.phase(amp)

@@ -26,6 +26,7 @@ from bellsim.analyzer import (
 )
 from bellsim.circuit import builtin_document, parse_circuit, print_circuit
 from bellsim.elements import (
+    apply_column,
     apply_element,
     apply_elements,
     bs,
@@ -34,6 +35,7 @@ from bellsim.elements import (
     element_column,
     hwp,
     mirror,
+    oam_sorter,
     pbs,
     pp,
     qp,
@@ -42,16 +44,11 @@ from bellsim.elements import (
 )
 from bellsim.errors import CircuitSemanticError, CircuitSyntaxError
 from bellsim.gates import (
-    apply_oam_flip,
-    apply_oam_hadamard,
-    apply_path_router,
-    apply_pol_shift,
     gate_equiv,
     hadamard_row_report,
     oam_flip_column,
     oam_hadamard_column,
     oam_hadamard_decomposition,
-    path_router_column,
     path_router_decomposition,
     path_router_stage_groups,
     pol_shift_column,
@@ -138,7 +135,7 @@ def test_acceptance_4_gate_truth_tables():
                 assert out == [(BasisMode(pol, l + dl_, "a"), 1.0 + 0.0j)]
 
         # sign-controlled path router: +1 stays, -1 crosses, weight one
-        rcol = path_router_column("a", "b")
+        rcol = element_column(oam_sorter("a", "b"), space)
         for pol in ("H", "V"):
             for path in ("a", "b"):
                 other = "b" if path == "a" else "a"
@@ -192,7 +189,7 @@ def test_acceptance_5_decompositions():
             return lambda s: apply_elements(s, elements)
 
         rep = gate_equiv(
-            lambda s: apply_pol_shift(s, Fraction(1, 2), ("a", "b")),
+            lambda s: apply_column(s, pol_shift_column(Fraction(1, 2), ("a", "b"), space)),
             seq(pol_shift_decomposition(Fraction(1, 2), ("a", "b"))),
             space,
             [
@@ -207,7 +204,7 @@ def test_acceptance_5_decompositions():
 
         elements, _ = path_router_decomposition("a", "b", space)
         rep = gate_equiv(
-            lambda s: apply_path_router(s, "a", "b"),
+            lambda s: apply_element(s, oam_sorter("a", "b")),
             seq(elements),
             space,
             sign_domain,
@@ -217,7 +214,7 @@ def test_acceptance_5_decompositions():
 
         big = space.extended(("anc",))
         rep = gate_equiv(
-            lambda s: apply_oam_hadamard(s, ("a",)),
+            lambda s: apply_column(s, oam_hadamard_column(("a",))),
             seq(oam_hadamard_decomposition("a", "anc")),
             big,
             [BasisMode(pol, oam, "a") for oam in (1, -1) for pol in ("H", "V")],

@@ -5,12 +5,16 @@ table below pins the error class, position, and message fragment the
 parser must report for them.
 """
 
+import dataclasses
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from bellsim.analyzer import verify
 from bellsim.circuit import (
+    STAGE_KINDS,
     Circuit,
     PiAngle,
     Stage,
@@ -18,9 +22,16 @@ from bellsim.circuit import (
     builtin_document,
     parse_circuit,
     print_circuit,
-    validate,
 )
-from bellsim.errors import CircuitSemanticError, CircuitSyntaxError
+from bellsim.engine import compile_circuit, propagate, validate
+from bellsim.errors import (
+    BellSimError,
+    CircuitSemanticError,
+    CircuitSyntaxError,
+    OamOverflow,
+    UnsortableOam,
+)
+from bellsim.state import BasisMode, TwoPhotonState
 
 DATA = Path(__file__).parent / "data"
 
@@ -239,6 +250,102 @@ def test_validate_qp_split_both_branches():
     assert any(
         i.severity == "error" and i.stage_index == 1 for i in report.issues
     )
+
+
+# -- validator soundness ------------------------------------------------
+
+FIG2 = parse_circuit(builtin_document("fig2"))
+
+SOUNDNESS_CIRCUITS = [
+    pytest.param(dataclasses.replace(FIG2, lmax=lmax), id=f"fig2-lmax{lmax}")
+    for lmax in (1, 2, 3, 4)
+] + [
+    pytest.param(parse_circuit((DATA / name).read_text()), id=name)
+    for name in ("custom_mini.circ", "overflow.circ", "empty.circ")
+]
+
+
+def _stage_of(exc):
+    """Source stage index an engine error names, or None (measurement)."""
+    m = re.match(r"stage (\d+) ", str(exc))
+    return int(m.group(1)) - 1 if m else None
+
+
+def _runtime_errors(circuit, impl):
+    """What compiling, verify(), and propagating each l=0 basis mode raise."""
+    try:
+        plan = compile_circuit(circuit, impl)
+    except BellSimError as exc:
+        return [exc]
+    errors = []
+    try:
+        verify(impl, circuit)
+    except BellSimError as exc:
+        errors.append(exc)
+    for path in circuit.paths:
+        for pol in ("H", "V"):
+            mode = BasisMode(pol, 0, path)
+            try:
+                propagate(plan, TwoPhotonState(circuit.space(), {(mode, mode): 1.0}))
+            except BellSimError as exc:
+                errors.append(exc)
+    return errors
+
+
+@pytest.mark.parametrize("impl", [None, "canonical", "decomposed"])
+@pytest.mark.parametrize("circuit", SOUNDNESS_CIRCUITS)
+def test_validator_is_sound_against_runtime(circuit, impl):
+    """Whatever the engine raises at stage k, validate flagged at stage k."""
+    report = validate(circuit)
+    flagged = {
+        sev: {i.stage_index for i in report.issues if i.severity == sev}
+        for sev in ("error", "warning")
+    }
+    measured = {k for k, s in enumerate(circuit.stages) if s.kind == "sppm"}
+    compile_failed = False
+    try:
+        compile_circuit(circuit, impl)
+    except BellSimError:
+        compile_failed = True
+    for exc in _runtime_errors(circuit, impl):
+        stage = _stage_of(exc)
+        if compile_failed or isinstance(exc, OamOverflow):
+            assert stage in flagged["error"], exc
+        elif isinstance(exc, UnsortableOam):
+            allowed = flagged["error"] | flagged["warning"]
+            assert ({stage} if stage is not None else measured) & allowed, exc
+
+
+@pytest.mark.parametrize("lmax", [2, 3, 4])
+def test_validator_clean_on_fig2_with_room(lmax):
+    report = validate(dataclasses.replace(FIG2, lmax=lmax))
+    assert [i for i in report.issues if i.severity != "note"] == []
+
+
+def test_validator_names_the_impl_an_issue_is_seen_under():
+    report = validate(dataclasses.replace(FIG2, lmax=1))
+    assert not report.ok
+    errors = [i for i in report.issues if i.severity == "error"]
+    assert {i.stage_index for i in errors} == {2, 3}  # both routers
+    assert all(i.message.endswith("(decomposed only)") for i in errors)
+
+
+# -- the stage-kind table -----------------------------------------------
+
+SAMPLE_VALUES = {"angle": "pi/8", "fraction": "1/2", "int": "1", "pol": "V"}
+
+
+@pytest.mark.parametrize("kind", list(STAGE_KINDS))
+def test_every_kind_round_trips_and_compiles(kind):
+    spec = STAGE_KINDS[kind]
+    paths = "a,b" if spec.arity == 2 else "a"
+    params = "".join(f" {p.key}={SAMPLE_VALUES[p.type]}" for p in spec.params)
+    text = f"lmax 4\nphoton A\nphoton B\npaths a b\nstage {kind} photon=A paths={paths}{params}\n"
+    circuit = parse_circuit(text)
+    assert print_circuit(circuit) == text
+    for impl in ("canonical", "decomposed"):
+        plan = compile_circuit(circuit, impl)
+        assert len(plan.stages) == (0 if spec.build is None else 1)
 
 
 def test_stage_header_and_programmatic_circuit():

@@ -32,6 +32,7 @@ def run_cli(capsys, argv):
         ("stages_psi_minus.txt", ["stages", "--input", "psi-"]),
         ("describe_fig2.txt", ["describe"]),
         ("export_table.txt", ["export-table"]),
+        ("export_table.json", ["export-table", "--format", "json"]),
     ],
 )
 def test_golden_output(capsys, name, argv):
@@ -101,6 +102,13 @@ def test_oracle_subcommand(capsys):
     assert "states checked:          7" in out
 
 
+def test_oracle_negative_count_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, ["oracle", "--n-random", "-3"])
+    assert code == 2
+    assert out == ""
+    assert "--n-random must be >= 0" in err
+
+
 def test_oracle_json(capsys):
     code, out, _ = run_cli(
         capsys, ["oracle", "--n-random", "2", "--format", "json"]
@@ -134,6 +142,16 @@ def test_describe_validation_failure(capsys):
     )
     assert code == 1
     assert "error: stage 2" in out
+
+
+def test_describe_flags_decomposed_router_overflow(capsys):
+    # at lmax 1 the decomposed router's spiral plates lift +1 to +2
+    code, out, _ = run_cli(capsys, ["describe", "--lmax", "1"])
+    assert code == 1
+    assert any(
+        line.startswith("error: stage 3:") and "decomposed" in line
+        for line in out.splitlines()
+    )
 
 
 def test_run_unmeasurable_state_fails(capsys):

@@ -12,18 +12,8 @@ import numpy as np
 import pytest
 
 from bellsim.elements import (
-    apply_bs,
-    apply_dp,
     apply_element,
     apply_elements,
-    apply_hwp,
-    apply_mirror,
-    apply_oam_sorter,
-    apply_pbs,
-    apply_pp,
-    apply_qp,
-    apply_qwp,
-    apply_spp,
     bs,
     dl,
     dp,
@@ -69,19 +59,19 @@ def _random_state(rng, space=SPACE):
 
 def test_qwp_truth_table():
     """The working quarter-wave plate: H->L and R->H exactly."""
-    out_h = apply_qwp(_mode("H", 0), "x")
+    out_h = apply_element(_mode("H", 0), qwp("x"))
     assert max_amplitude_difference(out_h, circular_state(SPACE, "L", 0, "x")) < TOL
 
-    out_r = apply_qwp(circular_state(SPACE, "R", 0, "x"), "x")
+    out_r = apply_element(circular_state(SPACE, "R", 0, "x"), qwp("x"))
     assert max_amplitude_difference(out_r, _mode("H", 0)) < TOL
 
     # V and L land on circular/linear targets with a residual i
-    out_v = apply_qwp(_mode("V", 0), "x")
+    out_v = apply_element(_mode("V", 0), qwp("x"))
     ref_r = circular_state(SPACE, "R", 0, "x")
     assert fidelity(out_v, ref_r) == pytest.approx(1.0, abs=TOL)
     assert abs(out_v.amplitude(BasisMode("H", 0, "x")) - 1j / math.sqrt(2)) < TOL
 
-    out_l = apply_qwp(circular_state(SPACE, "L", 0, "x"), "x")
+    out_l = apply_element(circular_state(SPACE, "L", 0, "x"), qwp("x"))
     assert abs(out_l.amplitude(BasisMode("V", 0, "x")) - 1j) < TOL
 
 
@@ -91,7 +81,7 @@ def test_qwp_fourth_power_is_identity_up_to_phase():
         st = _random_state(rng)
         out = st
         for _ in range(4):
-            out = apply_qwp(out, ("x", "y"))
+            out = apply_element(out, qwp(("x", "y")))
         assert equal_up_to_global_phase(out, st, tol=1e-10)
 
 
@@ -107,7 +97,7 @@ def test_qwp_fourth_power_is_identity_up_to_phase():
     ],
 )
 def test_hwp_matrix_rows(theta, pol_in, expect):
-    out = apply_hwp(_mode(pol_in, 0), theta, "x")
+    out = apply_element(_mode(pol_in, 0), hwp(theta, "x"))
     for pol, amp in expect.items():
         assert abs(out.amplitude(BasisMode(pol, 0, "x")) - amp) < TOL
     assert out.norm() == pytest.approx(1.0)
@@ -117,7 +107,7 @@ def test_hwp_is_involutive():
     rng = np.random.default_rng(12)
     for theta in (0.3, math.pi / 8, 1.1):
         st = _random_state(rng)
-        out = apply_hwp(apply_hwp(st, theta, ("x", "y")), theta, ("x", "y"))
+        out = apply_element(apply_element(st, hwp(theta, ("x", "y"))), hwp(theta, ("x", "y")))
         assert max_amplitude_difference(out, st) < 1e-12
 
 
@@ -126,16 +116,16 @@ def test_hwp_is_involutive():
 
 def test_qp_on_circular_basis():
     """|L,l> -> |R,l+2q> and |R,l> -> |L,l-2q>."""
-    out = apply_qp(circular_state(SPACE, "L", 0, "x"), Fraction(1, 2), "x")
+    out = apply_element(circular_state(SPACE, "L", 0, "x"), qp(Fraction(1, 2), "x"))
     assert max_amplitude_difference(out, circular_state(SPACE, "R", 1, "x")) < TOL
-    out = apply_qp(circular_state(SPACE, "R", 0, "x"), Fraction(1, 2), "x")
+    out = apply_element(circular_state(SPACE, "R", 0, "x"), qp(Fraction(1, 2), "x"))
     assert max_amplitude_difference(out, circular_state(SPACE, "L", -1, "x")) < TOL
-    out = apply_qp(circular_state(SPACE, "L", -2, "x"), 1, "x")
+    out = apply_element(circular_state(SPACE, "L", -2, "x"), qp(1, "x"))
     assert max_amplitude_difference(out, circular_state(SPACE, "R", 0, "x")) < TOL
 
 
 def test_qp_on_linear_basis_splits_four_ways():
-    out = apply_qp(_mode("H", 0), Fraction(1, 2), "x")
+    out = apply_element(_mode("H", 0), qp(Fraction(1, 2), "x"))
     expect = {
         BasisMode("H", 1, "x"): 0.5,
         BasisMode("V", 1, "x"): -0.5j,
@@ -157,11 +147,11 @@ def test_qp_rejects_non_half_integer_charge():
 def test_qp_overflow_checks_both_branches():
     # l=4 with q=1/2: the upward branch would land on l=5
     with pytest.raises(OamOverflow):
-        apply_qp(_mode("H", 4), Fraction(1, 2), "x")
+        apply_element(_mode("H", 4), qp(Fraction(1, 2), "x"))
 
 
 def test_spp_shifts_and_adds():
-    out = apply_spp(_mode("H", 0), 3, "x")
+    out = apply_element(_mode("H", 0), spp(3, "x"))
     assert max_amplitude_difference(out, _mode("H", 3)) < TOL
     # spp(a) then spp(b) == spp(a+b)
     rng = np.random.default_rng(13)
@@ -170,14 +160,14 @@ def test_spp_shifts_and_adds():
     vec = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes))
     vec /= np.linalg.norm(vec)
     st = PhotonState(small, dict(zip(modes, map(complex, vec))))
-    two_step = apply_spp(apply_spp(st, 2, "x"), 1, "x")
-    one_step = apply_spp(st, 3, "x")
+    two_step = apply_element(apply_element(st, spp(2, "x")), spp(1, "x"))
+    one_step = apply_element(st, spp(3, "x"))
     assert max_amplitude_difference(two_step, one_step) < TOL
 
 
 def test_spp_overflow():
     with pytest.raises(OamOverflow):
-        apply_spp(_mode("H", 2), 3, "x")
+        apply_element(_mode("H", 2), spp(3, "x"))
 
 
 # -- dove prisms and mirrors --------------------------------------------
@@ -186,7 +176,7 @@ def test_spp_overflow():
 def test_dp_truth_table():
     """|l> -> i e^{2 i alpha l} |-l>."""
     alpha = 0.7
-    out = apply_dp(_mode("H", 2), alpha, "x")
+    out = apply_element(_mode("H", 2), dp(alpha, "x"))
     expect = 1j * np.exp(2j * alpha * 2)
     assert abs(out.amplitude(BasisMode("H", -2, "x")) - expect) < TOL
 
@@ -195,13 +185,13 @@ def test_dp_squared_is_minus_identity():
     rng = np.random.default_rng(14)
     for alpha in (0.0, math.pi / 4, 1.23):
         st = _random_state(rng)
-        out = apply_dp(apply_dp(st, alpha, ("x", "y")), alpha, ("x", "y"))
+        out = apply_element(apply_element(st, dp(alpha, ("x", "y"))), dp(alpha, ("x", "y")))
         flipped = PhotonState(st.space, {m: -a for m, a in st.amplitudes.items()})
         assert max_amplitude_difference(out, flipped) < 1e-12
 
 
 def test_mirror_flips_with_i():
-    out = apply_mirror(_mode("V", 3), "x")
+    out = apply_element(_mode("V", 3), mirror("x"))
     assert abs(out.amplitude(BasisMode("V", -3, "x")) - 1j) < TOL
 
 
@@ -209,14 +199,14 @@ def test_mirror_flips_with_i():
 
 
 def test_pp_selectors():
-    st = apply_pp(_mode("V", 1), math.pi, "x", pol="V")
+    st = apply_element(_mode("V", 1), pp(math.pi, "x", pol="V"))
     assert abs(st.amplitude(BasisMode("V", 1, "x")) + 1.0) < TOL
-    untouched = apply_pp(_mode("H", 1), math.pi, "x", pol="V")
+    untouched = apply_element(_mode("H", 1), pp(math.pi, "x", pol="V"))
     assert abs(untouched.amplitude(BasisMode("H", 1, "x")) - 1.0) < TOL
 
-    by_oam = apply_pp(_mode("H", 1), math.pi / 2, "x", oam=1)
+    by_oam = apply_element(_mode("H", 1), pp(math.pi / 2, "x", oam=1))
     assert abs(by_oam.amplitude(BasisMode("H", 1, "x")) - 1j) < TOL
-    miss = apply_pp(_mode("H", -1), math.pi / 2, "x", oam=1)
+    miss = apply_element(_mode("H", -1), pp(math.pi / 2, "x", oam=1))
     assert abs(miss.amplitude(BasisMode("H", -1, "x")) - 1.0) < TOL
 
 
@@ -224,10 +214,10 @@ def test_pp_selectors():
 
 
 def test_bs_truth_table():
-    out_x = apply_bs(_mode("H", 0, "x"), "x", "y")
+    out_x = apply_element(_mode("H", 0, "x"), bs("x", "y"))
     assert abs(out_x.amplitude(BasisMode("H", 0, "x")) - 1 / math.sqrt(2)) < TOL
     assert abs(out_x.amplitude(BasisMode("H", 0, "y")) - 1j / math.sqrt(2)) < TOL
-    out_y = apply_bs(_mode("H", 0, "y"), "x", "y")
+    out_y = apply_element(_mode("H", 0, "y"), bs("x", "y"))
     assert abs(out_y.amplitude(BasisMode("H", 0, "x")) - 1j / math.sqrt(2)) < TOL
     assert abs(out_y.amplitude(BasisMode("H", 0, "y")) - 1 / math.sqrt(2)) < TOL
 
@@ -235,7 +225,7 @@ def test_bs_truth_table():
 def test_bs_squared_swaps_with_i():
     rng = np.random.default_rng(15)
     st = _random_state(rng)
-    out = apply_bs(apply_bs(st, "x", "y"), "x", "y")
+    out = apply_element(apply_element(st, bs("x", "y")), bs("x", "y"))
     swapped = {}
     for mode, amp in st.amplitudes.items():
         other = "y" if mode.path == "x" else "x"
@@ -244,24 +234,24 @@ def test_bs_squared_swaps_with_i():
 
 
 def test_pbs_routes_by_polarization():
-    keep = apply_pbs(_mode("H", 1, "x"), "x", "y")
+    keep = apply_element(_mode("H", 1, "x"), pbs("x", "y"))
     assert abs(keep.amplitude(BasisMode("H", 1, "x")) - 1.0) < TOL
-    cross = apply_pbs(_mode("V", 1, "x"), "x", "y")
+    cross = apply_element(_mode("V", 1, "x"), pbs("x", "y"))
     assert abs(cross.amplitude(BasisMode("V", 1, "y")) - 1.0) < TOL
 
 
 def test_oam_sorter_routes_by_sign():
-    keep = apply_oam_sorter(_mode("H", 1, "x"), "x", "y")
+    keep = apply_element(_mode("H", 1, "x"), oam_sorter("x", "y"))
     assert abs(keep.amplitude(BasisMode("H", 1, "x")) - 1.0) < TOL
-    cross = apply_oam_sorter(_mode("H", -1, "x"), "x", "y")
+    cross = apply_element(_mode("H", -1, "x"), oam_sorter("x", "y"))
     assert abs(cross.amplitude(BasisMode("H", -1, "y")) - 1.0) < TOL
 
 
 def test_oam_sorter_domain():
     with pytest.raises(UnsortableOam):
-        apply_oam_sorter(_mode("H", 0, "x"), "x", "y")
+        apply_element(_mode("H", 0, "x"), oam_sorter("x", "y"))
     with pytest.raises(UnsortableOam):
-        apply_oam_sorter(_mode("H", 2, "x"), "x", "y")
+        apply_element(_mode("H", 2, "x"), oam_sorter("x", "y"))
 
 
 @pytest.mark.parametrize("factory", [bs, pbs, oam_sorter])

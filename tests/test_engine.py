@@ -79,7 +79,7 @@ def test_decomposed_plan_extends_space():
     assert sum(len(s.ops) for s in plan.stages) > 50
 
 
-def test_origin_fallback_without_sppm_stages():
+def test_origin_fallback_without_measurement_stages():
     circuit = parse_circuit(
         "paths a1 a2 b1 b2\nstage qwp photon=A paths=a1\n"
     )

@@ -13,22 +13,26 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bellsim.elements import apply_element, apply_elements, element_column
+from bellsim.elements import (
+    apply_column,
+    apply_element,
+    apply_elements,
+    element_column,
+    oam_sorter,
+)
 from bellsim.errors import CalibrationFailure, UnsortableOam
 from bellsim.gates import (
-    apply_oam_flip,
-    apply_oam_hadamard,
-    apply_path_router,
-    apply_pol_shift,
     gate_equiv,
     hadamard_row_report,
+    oam_flip_column,
     oam_flip_decomposition,
+    oam_hadamard_column,
     oam_hadamard_decomposition,
     path_router_decomposition,
     path_router_stage_groups,
+    pol_shift_column,
     pol_shift_decomposition,
     solve_calibration,
-    path_router_column,
 )
 from bellsim.state import (
     BasisMode,
@@ -56,31 +60,33 @@ SIGN_DOMAIN = [
 def test_pol_shift_truth_table(pol, sign):
     """H gains 2q quanta, V loses 2q, polarization untouched."""
     for l0 in (-2, 0, 2):
-        out = apply_pol_shift(basis_state(SPACE, pol, l0, "a"), Fraction(1, 2), "a")
+        out = apply_column(
+            basis_state(SPACE, pol, l0, "a"), pol_shift_column(Fraction(1, 2), "a", SPACE)
+        )
         assert abs(out.amplitude(BasisMode(pol, l0 + sign, "a")) - 1.0) < TOL
 
 
 def test_path_router_truth_table():
     for pol in ("H", "V"):
-        keep = apply_path_router(basis_state(SPACE, pol, 1, "a"), "a", "b")
+        keep = apply_element(basis_state(SPACE, pol, 1, "a"), oam_sorter("a", "b"))
         assert abs(keep.amplitude(BasisMode(pol, 1, "a")) - 1.0) < TOL
-        cross = apply_path_router(basis_state(SPACE, pol, -1, "a"), "a", "b")
+        cross = apply_element(basis_state(SPACE, pol, -1, "a"), oam_sorter("a", "b"))
         assert abs(cross.amplitude(BasisMode(pol, -1, "b")) - 1.0) < TOL
-        back = apply_path_router(basis_state(SPACE, pol, -1, "b"), "a", "b")
+        back = apply_element(basis_state(SPACE, pol, -1, "b"), oam_sorter("a", "b"))
         assert abs(back.amplitude(BasisMode(pol, -1, "a")) - 1.0) < TOL
 
 
 def test_path_router_rejects_other_oam():
     with pytest.raises(UnsortableOam):
-        apply_path_router(basis_state(SPACE, "H", 0, "a"), "a", "b")
+        apply_element(basis_state(SPACE, "H", 0, "a"), oam_sorter("a", "b"))
 
 
 def test_oam_hadamard_truth_table():
     s = 1 / math.sqrt(2)
-    plus = apply_oam_hadamard(basis_state(SPACE, "H", 1, "a"), "a")
+    plus = apply_column(basis_state(SPACE, "H", 1, "a"), oam_hadamard_column("a"))
     assert abs(plus.amplitude(BasisMode("H", 1, "a")) - s) < TOL
     assert abs(plus.amplitude(BasisMode("H", -1, "a")) - s) < TOL
-    minus = apply_oam_hadamard(basis_state(SPACE, "H", -1, "a"), "a")
+    minus = apply_column(basis_state(SPACE, "H", -1, "a"), oam_hadamard_column("a"))
     assert abs(minus.amplitude(BasisMode("H", 1, "a")) - s) < TOL
     assert abs(minus.amplitude(BasisMode("H", -1, "a")) + s) < TOL
 
@@ -88,13 +94,14 @@ def test_oam_hadamard_truth_table():
 def test_oam_hadamard_is_involutive_on_domain():
     for mode in SIGN_DOMAIN:
         st = basis_state(SPACE, *mode)
-        out = apply_oam_hadamard(apply_oam_hadamard(st, ("a", "b")), ("a", "b"))
+        hadamard = oam_hadamard_column(("a", "b"))
+        out = apply_column(apply_column(st, hadamard), hadamard)
         assert max_amplitude_difference(out, st) < TOL
 
 
 def test_oam_flip_truth_table():
     for l0 in (-3, -1, 0, 2):
-        out = apply_oam_flip(basis_state(SPACE, "V", l0, "a"), "a")
+        out = apply_column(basis_state(SPACE, "V", l0, "a"), oam_flip_column("a"))
         assert abs(out.amplitude(BasisMode("V", -l0, "a")) - 1.0) < TOL
 
 
@@ -117,7 +124,7 @@ def test_pol_shift_decomposition_matches():
         for pol in ("H", "V")
     ]
     report = gate_equiv(
-        lambda s: apply_pol_shift(s, Fraction(1, 2), ("a", "b")),
+        lambda s: apply_column(s, pol_shift_column(Fraction(1, 2), ("a", "b"), SPACE)),
         _apply_seq(elements),
         SPACE,
         domain,
@@ -130,7 +137,7 @@ def test_pol_shift_decomposition_matches():
 def test_router_decomposition_matches():
     elements, phases = path_router_decomposition("a", "b", SPACE)
     report = gate_equiv(
-        lambda s: apply_path_router(s, "a", "b"),
+        lambda s: apply_element(s, oam_sorter("a", "b")),
         _apply_seq(elements),
         SPACE,
         SIGN_DOMAIN,
@@ -181,7 +188,7 @@ def test_router_calibration_failure_on_wrong_elements():
     broken = [e for name, els in groups if name != "arm dove prisms" for e in els]
     with pytest.raises(CalibrationFailure):
         solve_calibration(
-            broken, path_router_column("a", "b"), SIGN_DOMAIN, SPACE
+            broken, element_column(oam_sorter("a", "b"), SPACE), SIGN_DOMAIN, SPACE
         )
 
 
@@ -190,7 +197,7 @@ def test_oam_hadamard_decomposition_matches():
     elements = oam_hadamard_decomposition("a", "anc")
     domain = [BasisMode(pol, oam, "a") for oam in (1, -1) for pol in ("H", "V")]
     report = gate_equiv(
-        lambda s: apply_oam_hadamard(s, "a"),
+        lambda s: apply_column(s, oam_hadamard_column("a")),
         _apply_seq(elements),
         big,
         domain,
@@ -222,7 +229,7 @@ def test_oam_flip_decomposition_exact_on_correlated_sector():
     elements = oam_flip_decomposition("a")
     sector = [BasisMode("H", 1, "a"), BasisMode("V", -1, "a")]
     report = gate_equiv(
-        lambda s: apply_oam_flip(s, "a"),
+        lambda s: apply_column(s, oam_flip_column("a")),
         _apply_seq(elements),
         SPACE,
         sector,
@@ -237,7 +244,7 @@ def test_oam_flip_decomposition_differs_off_sector():
     canonical column stays the contract there."""
     elements = oam_flip_decomposition("a")
     out = apply_elements(basis_state(SPACE, "H", -1, "a"), elements)
-    canon = apply_oam_flip(basis_state(SPACE, "H", -1, "a"), "a")
+    canon = apply_column(basis_state(SPACE, "H", -1, "a"), oam_flip_column("a"))
     assert max_amplitude_difference(out, canon) == pytest.approx(2.0, abs=1e-12)
 
 

@@ -11,7 +11,6 @@ from bellsim.measurement import (
     CoincidencePattern,
     DetectorId,
     OutcomeDistribution,
-    crosscheck_sppm,
     detectors_for_origins,
     enumerate_patterns,
     parse_detector,
@@ -174,8 +173,8 @@ def test_decomposed_projection_matches_direct():
     rng = np.random.default_rng(0x5EED)
     for _ in range(25):
         st = _random_measurable(rng)
-        assert crosscheck_sppm(st, ("a1", "b1"), ("a2", "b2")) < 1e-12
         direct = sppm_project(st, ("a1", "b1"), ("a2", "b2"), impl="canonical")
+        # the decomposed readout raises CalibrationFailure past 1e-12
         routed = sppm_project(st, ("a1", "b1"), ("a2", "b2"), impl="decomposed")
         assert direct.tvd(routed) < 1e-12
 
