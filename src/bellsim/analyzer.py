@@ -417,7 +417,10 @@ def analyze_state(
 ) -> OutcomeDistribution:
     """Outcome distribution for an arbitrary prepared input state."""
     circuit = default_circuit() if circuit is None else circuit
-    plan = compile_circuit(circuit, impl)
+    return _distribution(compile_circuit(circuit, impl), state, impl)
+
+
+def _distribution(plan: Plan, state: TwoPhotonState, impl: str | None) -> OutcomeDistribution:
     out = propagate(plan, state)
     return sppm_project(
         out, plan.origins["A"], plan.origins["B"], _measurement_impl(plan, impl)
@@ -508,10 +511,12 @@ def verify(
 ) -> VerificationReport:
     """Propagate all four Bell inputs and grade them against the table."""
     table = CLASSIFICATION_TABLE if table is None else table
+    circuit = default_circuit() if circuit is None else circuit
+    plan = compile_circuit(circuit, impl)
     rows = []
     supports: dict[str, set[CoincidencePattern]] = {}
     for label in BELL_LABELS:
-        dist = analyze(label, impl, circuit)
+        dist = _distribution(plan, prepare_input(label, circuit.space()), impl)
         support = dist.support()
         supports[label] = set(support)
         success = 0.0

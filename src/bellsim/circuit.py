@@ -6,7 +6,7 @@ A circuit document is UTF-8 text:
     lmax 4
     photon A
     photon B
-    paths a1 a2 b1 b2 c d
+    paths a1 a2 b1 b2
     stage p_cos photon=A paths=a1,b1 q=1/2
     stage sppm photon=A paths=a1
 
@@ -517,12 +517,11 @@ FIG2_NAME = "fig2"
 
 _FIG2_TEXT = """\
 # Deterministic polarization Bell-state analyzer over OAM and path modes.
-# Photon A enters on a1/b1 and photon B on a2/b2; paths c and d are
-# reserved for the measurement blocks and carry no light before them.
+# Photon A enters on a1/b1 and photon B on a2/b2.
 lmax 4
 photon A
 photon B
-paths a1 a2 b1 b2 c d
+paths a1 a2 b1 b2
 stage p_cos photon=A paths=a1,b1 q=1/2
 stage p_cos photon=B paths=a2,b2 q=1/2
 stage o_cps photon=A paths=a1,b1

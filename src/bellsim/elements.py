@@ -5,10 +5,17 @@ parameters) and compiled into a *column function*
 
     column(mode) -> [(mode_out, coefficient), ...]
 
-giving the image of one basis mode. Modes whose path is outside the
-element's placement are passed through unchanged, so a column function is
-always total on the mode space. All elements are single-photon; lifting to
-the two-photon state lives in the engine.
+giving the image of one basis mode. ``ACTIONS`` maps each kind to a
+builder ``(element, space) -> action``, where the action says only what
+the element does to a mode on one of its placed paths. ``element_column``
+checks the placement against the space and wraps the action so that
+modes on other paths pass through unchanged, so every column function is
+total on the mode space. Two helpers hold the limits shared by several
+devices: ``_check_lmax`` raises ``OamOverflow`` when a shift would leave
++-lmax, and ``_check_sign`` raises ``UnsortableOam`` outside l=+1/-1. The
+canonical gate columns in :mod:`bellsim.gates` are built from the same
+wrapper and helpers. All elements are single-photon; lifting to the
+two-photon state lives in the engine.
 
 Pinned single-element conventions:
 
@@ -18,7 +25,7 @@ Pinned single-element conventions:
 * q-plate QP(q): |L,l> -> |R,l+2q>, |R,l> -> |L,l-2q>, unit phases.
 * spiral plate SPP(l0): l -> l + l0, unit phase.
 * dove prism DP(alpha): |l> -> i exp(i 2 alpha l) |-l>.
-* mirror: |l> -> i |-l>.
+* mirror: |l> -> i |-l>, the dove prism at alpha=0.
 * symmetric BS on (x, y): |x> -> (|x> + i|y>)/sqrt(2), |y> -> (i|x> + |y>)/sqrt(2).
 * PBS on (x, y): H keeps its path, V swaps paths, unit phases.
 * OAM sorter on (x, y): l=+1 keeps its path, l=-1 swaps; anything else is
@@ -37,6 +44,7 @@ from typing import Callable, Iterable, Mapping, Union
 
 from .errors import NonPhysicalQ, OamOverflow, SamePath, UnsortableOam
 from .state import (
+    _INV_SQRT2,
     POL_H,
     POL_V,
     BasisMode,
@@ -61,15 +69,16 @@ __all__ = [
     "dl",
     "TWO_PATH_KINDS",
     "qp_shift",
+    "ACTIONS",
     "element_column",
     "apply_column",
     "apply_element",
     "apply_elements",
 ]
 
-ColumnFn = Callable[[BasisMode], "list[tuple[BasisMode, complex]]"]
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+#: image of one basis mode: [(mode_out, coefficient), ...]
+Terms = list[tuple[BasisMode, complex]]
+ColumnFn = Callable[[BasisMode], Terms]
 
 #: kinds placed on exactly two ordered paths; every other kind takes one or more
 TWO_PATH_KINDS = frozenset({"bs", "pbs", "oam_sorter"})
@@ -203,157 +212,189 @@ def dl(paths: Union[str, Iterable[str]]) -> Element:
 # -- column compilation -------------------------------------------------
 
 
+def _placed(paths: Iterable[str], action: ColumnFn) -> ColumnFn:
+    """Total column: ``action`` on the placed paths, identity elsewhere."""
+    scope = frozenset(paths)
+
+    def col(mode: BasisMode) -> Terms:
+        if mode.path not in scope:
+            return [(mode, 1.0 + 0.0j)]
+        return action(mode)
+
+    return col
+
+
+def _check_lmax(space: ModeSpace, device: str, oam: int, *targets: int) -> None:
+    """Raise OamOverflow if a device would drive ``oam`` past the bound."""
+    for target in targets:
+        if abs(target) > space.lmax:
+            shown = "/".join(f"{t:+d}" for t in targets)
+            raise OamOverflow(
+                f"{device} drives OAM {oam:+d} to {shown}, outside lmax={space.lmax}"
+            )
+
+
+def _check_sign(mode: BasisMode, device: str, paths: tuple[str, ...]) -> None:
+    """Raise UnsortableOam unless the mode carries l=+1 or l=-1."""
+    if mode.oam not in (1, -1):
+        raise UnsortableOam(
+            f"{device} on ({','.join(paths)}) received l={mode.oam:+d}; its domain is l=+1/-1"
+        )
+
+
+def _jones(
+    h_image: tuple[complex, complex], v_image: tuple[complex, complex], shift: int = 0
+) -> ColumnFn:
+    """Polarization map H -> h_image, V -> v_image, each given as its (H, V)
+    coefficients, landing on OAM l + shift."""
+
+    def act(mode: BasisMode) -> Terms:
+        ch, cv = h_image if mode.pol == POL_H else v_image
+        oam = mode.oam + shift
+        return [(BasisMode(POL_H, oam, mode.path), ch), (BasisMode(POL_V, oam, mode.path), cv)]
+
+    return act
+
+
+def _hwp(element: Element, space: ModeSpace) -> ColumnFn:
+    theta = float(element.params["theta"])  # type: ignore[arg-type]
+    c2, s2 = math.cos(2 * theta), math.sin(2 * theta)
+    return _jones((complex(c2), complex(s2)), (complex(s2), complex(-c2)))
+
+
+def _qp(element: Element, space: ModeSpace) -> ColumnFn:
+    """L -> R on l + 2q and R -> L on l - 2q, written as one branch per OAM."""
+    shift = int(element.params["shift"])  # type: ignore[arg-type]
+    up = _jones((0.5 + 0j, -0.5j), (-0.5j, -0.5 + 0j), shift)
+    down = _jones((0.5 + 0j, 0.5j), (0.5j, -0.5 + 0j), -shift)
+
+    def act(mode: BasisMode) -> Terms:
+        _check_lmax(space, "q-plate", mode.oam, mode.oam + shift, mode.oam - shift)
+        return up(mode) + down(mode)
+
+    return act
+
+
+def _shift(space: ModeSpace, device: str, on_h: int, on_v: int) -> ColumnFn:
+    """Unit-phase OAM shift by ``on_h`` for H and ``on_v`` for V."""
+
+    def act(mode: BasisMode) -> Terms:
+        new = mode.oam + (on_h if mode.pol == POL_H else on_v)
+        _check_lmax(space, device, mode.oam, new)
+        return [(BasisMode(mode.pol, new, mode.path), 1.0 + 0.0j)]
+
+    return act
+
+
+def _spp(element: Element, space: ModeSpace) -> ColumnFn:
+    l0 = int(element.params["l"])  # type: ignore[arg-type]
+    return _shift(space, "spiral plate", l0, l0)
+
+
+def _flip(alpha: float) -> ColumnFn:
+    """Dove prism rotated by ``alpha``; at alpha=0 it is the mirror."""
+
+    def act(mode: BasisMode) -> Terms:
+        coeff = 1j * complex(math.cos(2 * alpha * mode.oam), math.sin(2 * alpha * mode.oam))
+        return [(BasisMode(mode.pol, -mode.oam, mode.path), coeff)]
+
+    return act
+
+
+def _pp(element: Element, space: ModeSpace) -> ColumnFn:
+    phi = float(element.params["phi"])  # type: ignore[arg-type]
+    pol_sel = element.params.get("pol")
+    oam_sel = element.params.get("oam")
+    coeff = complex(math.cos(phi), math.sin(phi))
+
+    def act(mode: BasisMode) -> Terms:
+        if pol_sel is not None and mode.pol != pol_sel:
+            return [(mode, 1.0 + 0.0j)]
+        if oam_sel is not None and mode.oam != oam_sel:
+            return [(mode, 1.0 + 0.0j)]
+        return [(mode, coeff)]
+
+    return act
+
+
+def _bs(element: Element, space: ModeSpace) -> ColumnFn:
+    px, py = element.paths
+
+    def act(mode: BasisMode) -> Terms:
+        if mode.path == px:
+            return [
+                (mode, complex(_INV_SQRT2)),
+                (BasisMode(mode.pol, mode.oam, py), 1j * _INV_SQRT2),
+            ]
+        return [
+            (BasisMode(mode.pol, mode.oam, px), 1j * _INV_SQRT2),
+            (mode, complex(_INV_SQRT2)),
+        ]
+
+    return act
+
+
+def _pbs(element: Element, space: ModeSpace) -> ColumnFn:
+    px, py = element.paths
+
+    def act(mode: BasisMode) -> Terms:
+        if mode.pol == POL_H:
+            return [(mode, 1.0 + 0.0j)]
+        other = py if mode.path == px else px
+        return [(BasisMode(mode.pol, mode.oam, other), 1.0 + 0.0j)]
+
+    return act
+
+
+def _oam_sorter(element: Element, space: ModeSpace) -> ColumnFn:
+    px, py = element.paths
+
+    def act(mode: BasisMode) -> Terms:
+        _check_sign(mode, "OAM sorter", element.paths)
+        if mode.oam == 1:
+            return [(mode, 1.0 + 0.0j)]
+        other = py if mode.path == px else px
+        return [(BasisMode(mode.pol, mode.oam, other), 1.0 + 0.0j)]
+
+    return act
+
+
+def _identity(mode: BasisMode) -> Terms:
+    return [(mode, 1.0 + 0.0j)]
+
+
+#: QWP images of H and V, each as (H, V) coefficients
+_QWP = ((complex(_INV_SQRT2), 1j * _INV_SQRT2), (1j * _INV_SQRT2, complex(_INV_SQRT2)))
+
+#: element kind -> builder (element, space) -> action on a mode of a placed path
+ACTIONS: dict[str, Callable[[Element, ModeSpace], ColumnFn]] = {
+    "qwp": lambda element, space: _jones(*_QWP),
+    "hwp": _hwp,
+    "qp": _qp,
+    "spp": _spp,
+    "dp": lambda element, space: _flip(float(element.params["alpha"])),  # type: ignore[arg-type]
+    "pp": _pp,
+    "mirror": lambda element, space: _flip(0.0),
+    "bs": _bs,
+    "pbs": _pbs,
+    "oam_sorter": _oam_sorter,
+    "dl": lambda element, space: _identity,
+}
+
+
 def element_column(element: Element, space: ModeSpace) -> ColumnFn:
     """Compile a placed element to a total column function on the space.
 
     Raises:
         UnknownPath: if the placement references an undeclared path.
+        ValueError: if the kind has no entry in ``ACTIONS``.
     """
     for p in element.paths:
         space.check_path(p)
-    in_scope = frozenset(element.paths)
-    kind = element.kind
-    params = element.params
-
-    if kind == "qwp":
-        def col(mode: BasisMode) -> list[tuple[BasisMode, complex]]:
-            if mode.path not in in_scope:
-                return [(mode, 1.0 + 0.0j)]
-            h = BasisMode(POL_H, mode.oam, mode.path)
-            v = BasisMode(POL_V, mode.oam, mode.path)
-            if mode.pol == POL_H:
-                return [(h, complex(_INV_SQRT2)), (v, 1j * _INV_SQRT2)]
-            return [(h, 1j * _INV_SQRT2), (v, complex(_INV_SQRT2))]
-        return col
-
-    if kind == "hwp":
-        theta = float(params["theta"])  # type: ignore[arg-type]
-        c2, s2 = math.cos(2 * theta), math.sin(2 * theta)
-        def col(mode: BasisMode) -> list[tuple[BasisMode, complex]]:
-            if mode.path not in in_scope:
-                return [(mode, 1.0 + 0.0j)]
-            h = BasisMode(POL_H, mode.oam, mode.path)
-            v = BasisMode(POL_V, mode.oam, mode.path)
-            if mode.pol == POL_H:
-                return [(h, complex(c2)), (v, complex(s2))]
-            return [(h, complex(s2)), (v, complex(-c2))]
-        return col
-
-    if kind == "qp":
-        shift = int(params["shift"])  # type: ignore[arg-type]
-        def col(mode: BasisMode) -> list[tuple[BasisMode, complex]]:
-            if mode.path not in in_scope:
-                return [(mode, 1.0 + 0.0j)]
-            up = mode.oam + shift
-            down = mode.oam - shift
-            if abs(up) > space.lmax or abs(down) > space.lmax:
-                raise OamOverflow(
-                    f"q-plate drives OAM {mode.oam:+d} to {up:+d}/{down:+d}, "
-                    f"outside lmax={space.lmax}"
-                )
-            h_up = BasisMode(POL_H, up, mode.path)
-            v_up = BasisMode(POL_V, up, mode.path)
-            h_dn = BasisMode(POL_H, down, mode.path)
-            v_dn = BasisMode(POL_V, down, mode.path)
-            if mode.pol == POL_H:
-                return [(h_up, 0.5 + 0j), (v_up, -0.5j), (h_dn, 0.5 + 0j), (v_dn, 0.5j)]
-            return [(h_up, -0.5j), (v_up, -0.5 + 0j), (h_dn, 0.5j), (v_dn, -0.5 + 0j)]
-        return col
-
-    if kind == "spp":
-        l0 = int(params["l"])  # type: ignore[arg-type]
-        def col(mode: BasisMode) -> list[tuple[BasisMode, complex]]:
-            if mode.path not in in_scope:
-                return [(mode, 1.0 + 0.0j)]
-            new = mode.oam + l0
-            if abs(new) > space.lmax:
-                raise OamOverflow(
-                    f"spiral plate drives OAM {mode.oam:+d} to {new:+d}, "
-                    f"outside lmax={space.lmax}"
-                )
-            return [(BasisMode(mode.pol, new, mode.path), 1.0 + 0.0j)]
-        return col
-
-    if kind == "dp":
-        alpha = float(params["alpha"])  # type: ignore[arg-type]
-        def col(mode: BasisMode) -> list[tuple[BasisMode, complex]]:
-            if mode.path not in in_scope:
-                return [(mode, 1.0 + 0.0j)]
-            coeff = 1j * complex(math.cos(2 * alpha * mode.oam), math.sin(2 * alpha * mode.oam))
-            return [(BasisMode(mode.pol, -mode.oam, mode.path), coeff)]
-        return col
-
-    if kind == "pp":
-        phi = float(params["phi"])  # type: ignore[arg-type]
-        pol_sel = params.get("pol")
-        oam_sel = params.get("oam")
-        coeff = complex(math.cos(phi), math.sin(phi))
-        def col(mode: BasisMode) -> list[tuple[BasisMode, complex]]:
-            if mode.path not in in_scope:
-                return [(mode, 1.0 + 0.0j)]
-            if pol_sel is not None and mode.pol != pol_sel:
-                return [(mode, 1.0 + 0.0j)]
-            if oam_sel is not None and mode.oam != oam_sel:
-                return [(mode, 1.0 + 0.0j)]
-            return [(mode, coeff)]
-        return col
-
-    if kind == "mirror":
-        def col(mode: BasisMode) -> list[tuple[BasisMode, complex]]:
-            if mode.path not in in_scope:
-                return [(mode, 1.0 + 0.0j)]
-            return [(BasisMode(mode.pol, -mode.oam, mode.path), 1j)]
-        return col
-
-    if kind == "bs":
-        px, py = element.paths
-        def col(mode: BasisMode) -> list[tuple[BasisMode, complex]]:
-            if mode.path == px:
-                return [
-                    (mode, complex(_INV_SQRT2)),
-                    (BasisMode(mode.pol, mode.oam, py), 1j * _INV_SQRT2),
-                ]
-            if mode.path == py:
-                return [
-                    (BasisMode(mode.pol, mode.oam, px), 1j * _INV_SQRT2),
-                    (mode, complex(_INV_SQRT2)),
-                ]
-            return [(mode, 1.0 + 0.0j)]
-        return col
-
-    if kind == "pbs":
-        px, py = element.paths
-        def col(mode: BasisMode) -> list[tuple[BasisMode, complex]]:
-            if mode.path not in (px, py):
-                return [(mode, 1.0 + 0.0j)]
-            if mode.pol == POL_H:
-                return [(mode, 1.0 + 0.0j)]
-            other = py if mode.path == px else px
-            return [(BasisMode(mode.pol, mode.oam, other), 1.0 + 0.0j)]
-        return col
-
-    if kind == "oam_sorter":
-        px, py = element.paths
-        def col(mode: BasisMode) -> list[tuple[BasisMode, complex]]:
-            if mode.path not in (px, py):
-                return [(mode, 1.0 + 0.0j)]
-            if mode.oam == 1:
-                return [(mode, 1.0 + 0.0j)]
-            if mode.oam == -1:
-                other = py if mode.path == px else px
-                return [(BasisMode(mode.pol, mode.oam, other), 1.0 + 0.0j)]
-            raise UnsortableOam(
-                f"OAM sorter on ({px},{py}) received l={mode.oam:+d}; "
-                "it only sorts l=+1/-1"
-            )
-        return col
-
-    if kind == "dl":
-        def col(mode: BasisMode) -> list[tuple[BasisMode, complex]]:
-            return [(mode, 1.0 + 0.0j)]
-        return col
-
-    raise ValueError(f"unknown element kind {kind!r}")
+    make = ACTIONS.get(element.kind)
+    if make is None:
+        raise ValueError(f"unknown element kind {element.kind!r}")
+    return _placed(element.paths, make(element, space))
 
 
 # -- application to single-photon states --------------------------------

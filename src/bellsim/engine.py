@@ -54,6 +54,8 @@ __all__ = [
 
 #: per-photon dense dimension guard (the joint space is this squared)
 MAX_PHOTON_DIMENSION = 10_000
+#: largest per-photon dimension for which the joint kron is materialized
+_JOINT_PHOTON_DIMENSION_CAP = 48
 
 DEFAULT_ORIGINS = {"A": ("a1", "b1"), "B": ("a2", "b2")}
 
@@ -279,8 +281,7 @@ def validate(circuit: Circuit) -> ValidationReport:
                 ValidationIssue(
                     "note",
                     None,
-                    f"path {p!r} is declared but not used by any stage "
-                    "(reserved for measurement internals)",
+                    f"path {p!r} is declared but not used by any stage",
                 )
             )
     return ValidationReport(tuple(issues))
@@ -405,18 +406,18 @@ class AssembledUnitary:
             out[(modes[i], modes[j])] = complex(dense[i, j])
         return TwoPhotonState(self.space, out)
 
-    def joint_matrix(self, max_dimension: int = 48) -> np.ndarray:
+    def joint_matrix(self) -> np.ndarray:
         """Materialized kron(u_a, u_b); guarded, only for small spaces.
 
         The joint matrix is square of side dimension**2, so even modest
-        per-photon spaces explode (108 -> a 11664x11664 array); the
+        per-photon spaces explode (72 -> a 5184x5184 array); the
         factored form plus :meth:`apply` covers those.
         """
         dim = self.space.dimension
-        if dim > max_dimension:
+        if dim > _JOINT_PHOTON_DIMENSION_CAP:
             raise DimensionCap(
                 f"joint matrix would be {dim * dim}x{dim * dim}; "
-                f"per-photon dimension {dim} exceeds the {max_dimension} cap"
+                f"per-photon dimension {dim} exceeds the {_JOINT_PHOTON_DIMENSION_CAP} cap"
             )
         return np.kron(self.u_a, self.u_b)
 
@@ -455,16 +456,16 @@ def _unitarity_residual(mat: np.ndarray, valid: np.ndarray) -> float:
     return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
 
 
-def assemble(plan: Plan, max_photon_dimension: int = MAX_PHOTON_DIMENSION) -> AssembledUnitary:
+def assemble(plan: Plan) -> AssembledUnitary:
     """Dense per-photon matrices for a plan, with per-stage unitarity checks.
 
     Raises:
-        DimensionCap: if the per-photon dimension exceeds the cap.
+        DimensionCap: if the per-photon dimension exceeds ``MAX_PHOTON_DIMENSION``.
     """
     dim = plan.space.dimension
-    if dim > max_photon_dimension:
+    if dim > MAX_PHOTON_DIMENSION:
         raise DimensionCap(
-            f"per-photon dimension {dim} exceeds cap {max_photon_dimension}"
+            f"per-photon dimension {dim} exceeds cap {MAX_PHOTON_DIMENSION}"
         )
     totals = {p: np.eye(dim, dtype=np.complex128) for p in plan.circuit.photons}
     valids = {p: np.ones(dim, dtype=bool) for p in plan.circuit.photons}

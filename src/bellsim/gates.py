@@ -29,7 +29,10 @@ from typing import Callable, Iterable, Sequence, Union
 from .elements import (
     ColumnFn,
     Element,
+    _check_sign,
     _paths_tuple,
+    _placed,
+    _shift,
     apply_elements,
     bs,
     dp,
@@ -43,8 +46,9 @@ from .elements import (
     qwp,
     spp,
 )
-from .errors import CalibrationFailure, OamOverflow, UnsortableOam
+from .errors import CalibrationFailure
 from .state import (
+    _INV_SQRT2,
     POL_H,
     POL_V,
     POLARIZATIONS,
@@ -69,61 +73,37 @@ __all__ = [
     "hadamard_row_report",
 ]
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
 # -- canonical truth tables ---------------------------------------------
 
 
 def pol_shift_column(q: Union[Fraction, float, int], paths: Union[str, Iterable[str]], space: ModeSpace) -> ColumnFn:
     """Canonical pol-controlled OAM shift: |H,l> -> |H,l+2q>, |V,l> -> |V,l-2q>."""
     shift = qp_shift(q)
-    scope = frozenset(_paths_tuple(paths))
-
-    def col(mode: BasisMode) -> list[tuple[BasisMode, complex]]:
-        if mode.path not in scope:
-            return [(mode, 1.0 + 0.0j)]
-        new = mode.oam + shift if mode.pol == POL_H else mode.oam - shift
-        if abs(new) > space.lmax:
-            raise OamOverflow(
-                f"pol-controlled shift drives OAM {mode.oam:+d} to {new:+d}, "
-                f"outside lmax={space.lmax}"
-            )
-        return [(BasisMode(mode.pol, new, mode.path), 1.0 + 0.0j)]
-
-    return col
+    return _placed(_paths_tuple(paths), _shift(space, "pol-controlled shift", shift, -shift))
 
 
 def oam_hadamard_column(paths: Union[str, Iterable[str]]) -> ColumnFn:
     """Canonical OAM Hadamard on the l=+1/-1 sector of each placed path."""
-    scope = frozenset(_paths_tuple(paths))
+    ps = _paths_tuple(paths)
 
-    def col(mode: BasisMode) -> list[tuple[BasisMode, complex]]:
-        if mode.path not in scope:
-            return [(mode, 1.0 + 0.0j)]
+    def act(mode: BasisMode) -> list[tuple[BasisMode, complex]]:
+        _check_sign(mode, "OAM Hadamard", ps)
         plus = BasisMode(mode.pol, 1, mode.path)
         minus = BasisMode(mode.pol, -1, mode.path)
         if mode.oam == 1:
             return [(plus, complex(_INV_SQRT2)), (minus, complex(_INV_SQRT2))]
-        if mode.oam == -1:
-            return [(plus, complex(_INV_SQRT2)), (minus, complex(-_INV_SQRT2))]
-        raise UnsortableOam(
-            f"OAM Hadamard received l={mode.oam:+d}; its domain is l=+1/-1"
-        )
+        return [(plus, complex(_INV_SQRT2)), (minus, complex(-_INV_SQRT2))]
 
-    return col
+    return _placed(ps, act)
 
 
 def oam_flip_column(paths: Union[str, Iterable[str]]) -> ColumnFn:
     """Canonical phase-free OAM flip |l> -> |-l> on each placed path."""
-    scope = frozenset(_paths_tuple(paths))
 
-    def col(mode: BasisMode) -> list[tuple[BasisMode, complex]]:
-        if mode.path not in scope:
-            return [(mode, 1.0 + 0.0j)]
+    def act(mode: BasisMode) -> list[tuple[BasisMode, complex]]:
         return [(BasisMode(mode.pol, -mode.oam, mode.path), 1.0 + 0.0j)]
 
-    return col
+    return _placed(_paths_tuple(paths), act)
 
 
 # -- decompositions -----------------------------------------------------

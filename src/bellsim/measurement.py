@@ -35,7 +35,6 @@ __all__ = [
     "enumerate_patterns",
     "OutcomeDistribution",
     "sppm_front_elements",
-    "sppm_front_column",
     "sppm_project",
     "PROBABILITY_TOL",
 ]
@@ -137,10 +136,10 @@ class OutcomeDistribution:
         order = enumerate_patterns(self.origins_a, self.origins_b)
         return tuple(p for p in order if self.probs.get(p, 0.0) > PROBABILITY_TOL)
 
-    def items_ordered(self, include_zero: bool = False):
+    def items_ordered(self):
         for pattern in enumerate_patterns(self.origins_a, self.origins_b):
             p = self.probs.get(pattern, 0.0)
-            if include_zero or p > PROBABILITY_TOL:
+            if p > PROBABILITY_TOL:
                 yield pattern, p
 
     def tvd(self, other: "OutcomeDistribution") -> float:
@@ -150,23 +149,23 @@ class OutcomeDistribution:
             abs(self.probs.get(k, 0.0) - other.probs.get(k, 0.0)) for k in keys
         )
 
-    def to_text(self, include_zero: bool = False) -> str:
+    def to_text(self) -> str:
         lines = [
             f"{pattern}  {p:.12g}"
-            for pattern, p in self.items_ordered(include_zero)
+            for pattern, p in self.items_ordered()
         ]
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self, include_zero: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "origins": {"A": list(self.origins_a), "B": list(self.origins_b)},
             "probabilities": {
-                str(pattern): p for pattern, p in self.items_ordered(include_zero)
+                str(pattern): p for pattern, p in self.items_ordered()
             },
         }
 
-    def to_json(self, include_zero: bool = False) -> str:
-        return json.dumps(self.to_json_dict(include_zero), indent=2) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
 # -- sorter front ends --------------------------------------------------
@@ -191,24 +190,6 @@ def _port_map(origin: str) -> dict[BasisMode, DetectorId]:
         BasisMode(POL_V, 1, d): DetectorId(1, POL_V, origin),
         BasisMode(POL_V, -1, e): DetectorId(-1, POL_V, origin),
     }
-
-
-def sppm_front_column(origin: str):
-    """Canonical sorter block: a pure permutation onto the output ports."""
-    targets = {(port.pol, port.oam): port.path for port in _port_map(origin)}
-
-    def col(mode: BasisMode) -> list[tuple[BasisMode, complex]]:
-        if mode.path != origin:
-            return [(mode, 1.0 + 0.0j)]
-        key = (mode.pol, mode.oam)
-        if key not in targets:
-            raise UnsortableOam(
-                f"sorter block on {origin} received l={mode.oam:+d}; "
-                "its domain is l=+1/-1"
-            )
-        return [(BasisMode(mode.pol, mode.oam, targets[key]), 1.0 + 0.0j)]
-
-    return col
 
 
 def _check_measurable(

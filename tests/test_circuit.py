@@ -200,6 +200,8 @@ def test_validate_builtin_is_clean_with_notes():
     notes = [str(i) for i in report.issues if i.severity == "note"]
     assert any("o_cps" in n for n in notes)
     assert any("oh" in n for n in notes)
+    unused = validate(parse_circuit("paths a c d\nstage qwp photon=A paths=a\n"))
+    notes = [str(i) for i in unused.issues if i.severity == "note"]
     assert any("'c'" in n for n in notes) and any("'d'" in n for n in notes)
 
 

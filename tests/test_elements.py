@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from bellsim.elements import (
+    ACTIONS,
+    Element,
     apply_element,
     apply_elements,
     bs,
@@ -27,7 +29,7 @@ from bellsim.elements import (
     qwp,
     spp,
 )
-from bellsim.errors import NonPhysicalQ, OamOverflow, SamePath, UnsortableOam
+from bellsim.errors import NonPhysicalQ, OamOverflow, SamePath, UnknownPath, UnsortableOam
 from bellsim.state import (
     BasisMode,
     ModeSpace,
@@ -305,3 +307,39 @@ def test_element_column_is_identity_off_path():
     (mode, amp), = col(BasisMode("H", 4, "y"))
     assert mode == BasisMode("H", 4, "y")
     assert amp == 1.0 + 0.0j
+
+
+def test_every_kind_is_identity_off_placement_and_checks_paths():
+    """Each entry of the action table, through ``element_column``."""
+    wide = ModeSpace(lmax=2, paths=("x", "y", "z"))
+    samples = {
+        "qwp": lambda ps: qwp(ps),
+        "hwp": lambda ps: hwp(0.3, ps),
+        "qp": lambda ps: qp(Fraction(1, 2), ps),
+        "spp": lambda ps: spp(1, ps),
+        "dp": lambda ps: dp(0.4, ps),
+        "pp": lambda ps: pp(0.5, ps, pol="V", oam=1),
+        "mirror": lambda ps: mirror(ps),
+        "bs": lambda ps: bs(*ps),
+        "pbs": lambda ps: pbs(*ps),
+        "oam_sorter": lambda ps: oam_sorter(*ps),
+        "dl": lambda ps: dl(ps),
+    }
+    assert set(samples) == set(ACTIONS)
+    for kind, make in samples.items():
+        col = element_column(make(("x", "y")), wide)
+        for mode in wide.modes():
+            if mode.path == "z":
+                assert col(mode) == [(mode, 1.0 + 0.0j)], kind
+        with pytest.raises(UnknownPath):
+            element_column(make(("x", "w")), wide)
+    with pytest.raises(ValueError, match="unknown element kind"):
+        element_column(Element("prism", ("x",)), wide)
+
+
+def test_mirror_is_dove_prism_at_zero_bit_for_bit():
+    mirror_col = element_column(mirror(("x", "y")), SPACE)
+    dp_col = element_column(dp(0.0, ("x", "y")), SPACE)
+    for mode in SPACE.modes():
+        # repr tells signed zeros apart, so this is an exact comparison
+        assert repr(mirror_col(mode)) == repr(dp_col(mode))

@@ -6,12 +6,15 @@ column by column from the same operators, and the two must agree on a
 seeded batch of random input states.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bellsim.circuit import builtin_document, parse_circuit
 from bellsim.engine import (
     ANCILLA_PATH,
+    MAX_PHOTON_DIMENSION,
     assemble,
     compile_circuit,
     propagate,
@@ -220,14 +223,18 @@ def test_assembly_notes_identity_fallback():
 
 
 def test_dimension_cap():
+    # fig2's four paths give 16 * lmax + 8 modes per photon; assemble must
+    # refuse this one before it allocates anything
+    huge = dataclasses.replace(FIG2, lmax=MAX_PHOTON_DIMENSION // 16 + 1)
+    assert huge.space().dimension > MAX_PHOTON_DIMENSION
     with pytest.raises(DimensionCap):
-        assemble(compile_circuit(FIG2), max_photon_dimension=50)
+        assemble(compile_circuit(huge))
 
 
 def test_joint_matrix_guard_and_value():
     dense = assemble(compile_circuit(FIG2))
     with pytest.raises(DimensionCap):
-        dense.joint_matrix()  # 108 per photon is far past the cap
+        dense.joint_matrix()  # 72 per photon is far past the cap
 
     mini = parse_circuit(
         "lmax 1\npaths u v\n"

@@ -4,9 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bellsim.elements import apply_column, apply_elements
 from bellsim.errors import LeakedAmplitude, MalformedPattern, UnsortableOam
-from bellsim.gates import gate_equiv
 from bellsim.measurement import (
     CoincidencePattern,
     DetectorId,
@@ -15,8 +13,6 @@ from bellsim.measurement import (
     enumerate_patterns,
     parse_detector,
     parse_pattern,
-    sppm_front_column,
-    sppm_front_elements,
     sppm_project,
 )
 from bellsim.state import BasisMode, ModeSpace, TwoPhotonState
@@ -183,23 +179,3 @@ def test_projection_bad_impl():
     st = TwoPhotonState(SPACE, {_pair(1, "H", "a1", 1, "H", "a2"): 1.0})
     with pytest.raises(ValueError):
         sppm_project(st, ("a1", "b1"), ("a2", "b2"), impl="magic")
-
-
-def test_sorter_front_equivalence():
-    """The canonical port permutation is exactly the PBS + two sorters."""
-    scoped = ModeSpace(lmax=4, paths=("w", "w:c", "w:d", "w:e"))
-    domain = [BasisMode(pol, oam, "w") for oam in (1, -1) for pol in ("H", "V")]
-    report = gate_equiv(
-        lambda s: apply_column(s, sppm_front_column("w")),
-        lambda s: apply_elements(s, sppm_front_elements("w")),
-        scoped,
-        domain,
-        tol=1e-12,
-    )
-    assert report.equivalent, str(report)
-    assert report.scale == pytest.approx(1.0 + 0.0j, abs=1e-12)
-
-
-def test_sorter_front_column_domain():
-    with pytest.raises(UnsortableOam):
-        sppm_front_column("w")(BasisMode("H", 0, "w"))
