@@ -12,7 +12,8 @@ checks the placement against the space and wraps the action so that
 modes on other paths pass through unchanged, so every column function is
 total on the mode space. Two helpers hold the limits shared by several
 devices: ``_check_lmax`` raises ``OamOverflow`` when a shift would leave
-+-lmax, and ``_check_sign`` raises ``UnsortableOam`` outside l=+1/-1. The
++-lmax, and ``_check_sign`` raises ``UnsortableOam`` outside ``SIGN_DOMAIN``
+(l=+1/-1, the domain the detectors and the validator read too). The
 canonical gate columns in :mod:`bellsim.gates` are built from the same
 wrapper and helpers. All elements are single-photon; lifting to the
 two-photon state lives in the engine.
@@ -68,6 +69,7 @@ __all__ = [
     "oam_sorter",
     "dl",
     "TWO_PATH_KINDS",
+    "SIGN_DOMAIN",
     "qp_shift",
     "ACTIONS",
     "element_column",
@@ -82,6 +84,9 @@ ColumnFn = Callable[[BasisMode], Terms]
 
 #: kinds placed on exactly two ordered paths; every other kind takes one or more
 TWO_PATH_KINDS = frozenset({"bs", "pbs", "oam_sorter"})
+
+#: the only OAM values the sign-sorting devices (and the detectors behind them) resolve
+SIGN_DOMAIN = (1, -1)
 
 
 @dataclass(frozen=True)
@@ -236,7 +241,7 @@ def _check_lmax(space: ModeSpace, device: str, oam: int, *targets: int) -> None:
 
 def _check_sign(mode: BasisMode, device: str, paths: tuple[str, ...]) -> None:
     """Raise UnsortableOam unless the mode carries l=+1 or l=-1."""
-    if mode.oam not in (1, -1):
+    if mode.oam not in SIGN_DOMAIN:
         raise UnsortableOam(
             f"{device} on ({','.join(paths)}) received l={mode.oam:+d}; its domain is l=+1/-1"
         )

@@ -8,8 +8,9 @@ declared by ``sppm`` stages, and checkpoint positions after the last
 stage of each kind.  ``validate`` walks the same operators over the
 modes the analyzer's inputs can reach, for every plan the CLI can run.
 ``propagate`` pushes a sparse two-photon state through the plan;
-``assemble`` independently builds dense per-photon matrices for the same
-plan so the two evolutions can be cross-checked.
+``assemble`` builds dense per-photon matrices for the same plan, one
+sparse row update per op from the op's nonzero entries, so the two
+evolutions can be cross-checked.
 
 The dense form is kept factored as (U_A, U_B): the joint operator is
 their Kronecker product, which is only materialized on request.  A
@@ -19,11 +20,12 @@ per-photon dimension cap guards against accidentally huge spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .circuit import ANCILLA_PATH, STAGE_KINDS, Circuit, CompiledOp
-from .elements import ColumnFn
+from .elements import SIGN_DOMAIN, ColumnFn
 from .errors import (
     BellSimError,
     DimensionCap,
@@ -187,7 +189,7 @@ def _walk(circuit: Circuit, impls: tuple[str, ...], space: ModeSpace, ancilla: s
         spec = STAGE_KINDS[stage.kind]
         modes = reach[stage.photon]
         if spec.build is None:
-            bad = {m.oam for m in modes if m.path == stage.paths[0] and abs(m.oam) != 1}
+            bad = {m.oam for m in modes if m.path == stage.paths[0] and m.oam not in SIGN_DOMAIN}
             ops = []
         else:
             bad = set()
@@ -374,6 +376,12 @@ class StageMatrixRecord:
     note: str = ""
 
 
+def _mode_index(space: ModeSpace) -> tuple[list[BasisMode], dict[BasisMode, int]]:
+    """Dense basis order and its inverse, built once per matrix."""
+    modes = space.modes()
+    return modes, {mode: i for i, mode in enumerate(modes)}
+
+
 @dataclass
 class AssembledUnitary:
     """Factored dense operator: joint action is kron(u_a, u_b).
@@ -391,19 +399,33 @@ class AssembledUnitary:
     valid_b: np.ndarray
     records: tuple[StageMatrixRecord, ...] = field(default_factory=tuple)
 
+    def __post_init__(self) -> None:
+        self._modes, self._index = _mode_index(self.space)
+
     def apply(self, state: TwoPhotonState) -> TwoPhotonState:
+        """``u_a @ psi @ u_b.T``, multiplying only where the input and its image live."""
         if state.space != self.space:
             state = state.with_space(self.space)
-        dim = self.space.dimension
-        index = self.space.index
-        dense = np.zeros((dim, dim), dtype=np.complex128)
-        for (ma, mb), amp in state.amplitudes.items():
-            dense[index(ma), index(mb)] = amp
-        dense = self.u_a @ dense @ self.u_b.T
-        modes = self.space.modes()
+        n = len(state.amplitudes)
+        rows = np.empty(n, dtype=np.intp)
+        cols = np.empty(n, dtype=np.intp)
+        amps = np.empty(n, dtype=np.complex128)
+        for k, ((ma, mb), amp) in enumerate(state.amplitudes.items()):
+            rows[k], cols[k], amps[k] = self._index[ma], self._index[mb], amp
+        ra, rows = np.unique(rows, return_inverse=True)
+        rb, cols = np.unique(cols, return_inverse=True)
+        small = np.zeros((len(ra), len(rb)), dtype=np.complex128)
+        small[rows, cols] = amps
+        left = self.u_a[:, ra] @ small
+        right = self.u_b[:, rb]
+        # rows of either factor that are zero give zero output rows/columns
+        ia = np.flatnonzero(left.any(axis=1))
+        ib = np.flatnonzero(right.any(axis=1))
+        dense = left[ia] @ right[ib].T
+        modes = self._modes
         out = {}
         for i, j in zip(*np.nonzero(np.abs(dense) > DROP_EPS)):
-            out[(modes[i], modes[j])] = complex(dense[i, j])
+            out[(modes[ia[i]], modes[ib[j]])] = complex(dense[i, j])
         return TwoPhotonState(self.space, out)
 
     def joint_matrix(self) -> np.ndarray:
@@ -422,30 +444,71 @@ class AssembledUnitary:
         return np.kron(self.u_a, self.u_b)
 
 
-def _column_matrix(column: ColumnFn, space: ModeSpace) -> tuple[np.ndarray, np.ndarray, str]:
-    """Dense matrix of a column operator.
+class _SparseOp(NamedTuple):
+    """One op's matrix M, kept as its nonzero entries on the rows it changes.
 
-    Columns whose source mode overflows the OAM bound are zeroed and
-    flagged invalid; columns a sign-domain device cannot sort fall back
-    to identity and are noted.
+    Row ``heads[i]`` of ``M @ mat`` is the sum of ``coeff * mat[col]``
+    over the entries at position ``i``.  The entries are split into slots
+    holding at most one entry per row, so each slot adds in one
+    collision-free step.
     """
-    dim = space.dimension
-    index = space.index
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    valid = np.ones(dim, dtype=bool)
+
+    heads: np.ndarray  # rows with an entry that are not identity rows
+    empty: np.ndarray  # rows with no entry at all
+    slots: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # (positions, cols, coeffs)
+    valid: np.ndarray  # per source column: False where it overflows
+    note: str
+
+
+def _sparse_op(column: ColumnFn, modes: list[BasisMode], index: dict[BasisMode, int]) -> _SparseOp:
+    """One pass of a column operator over the basis.
+
+    Repeated output modes accumulate.  Columns whose source mode
+    overflows the OAM bound are empty and flagged invalid; columns a
+    sign-domain device cannot sort fall back to identity and are noted.
+    """
+    rows: list[int] = []
+    cols: list[int] = []
+    coeffs: list[complex] = []
+    valid = np.ones(len(modes), dtype=bool)
     note = ""
-    for j, mode in enumerate(space.modes()):
+    for j, mode in enumerate(modes):
         try:
-            for out_mode, coeff in column(mode):
-                mat[index(out_mode), j] = coeff
+            image = column(mode)
         except OamOverflow:
-            mat[:, j] = 0.0
             valid[j] = False
+            continue
         except UnsortableOam:
-            mat[:, j] = 0.0
-            mat[j, j] = 1.0
+            image = [(mode, 1.0 + 0.0j)]
             note = "identity fallback outside the sortable OAM domain"
-    return mat, valid, note
+        for out_mode, coeff in image:
+            rows.append(index[out_mode])
+            cols.append(j)
+            coeffs.append(coeff)
+    r = np.array(rows, dtype=np.intp)
+    c = np.array(cols, dtype=np.intp)
+    k = np.array(coeffs, dtype=np.complex128)
+    count = np.bincount(r, minlength=len(modes))
+    # an identity row holds exactly one entry, a unit one on the diagonal
+    unit = (r == c) & (k == 1.0)
+    identity = (count == 1) & (np.bincount(r[unit], minlength=len(modes)) == 1)
+    heads = np.flatnonzero((count > 0) & ~identity)
+    keep = np.flatnonzero(~identity[r])
+    keep = keep[np.argsort(r[keep], kind="stable")]
+    r, c, k = r[keep], c[keep], k[keep]
+    slot = np.arange(len(r)) - np.searchsorted(r, r)  # rank of each entry within its row
+    pos = np.searchsorted(heads, r)
+    slots = tuple((pos[slot == s], c[slot == s], k[slot == s]) for s in np.unique(slot))
+    return _SparseOp(heads, np.flatnonzero(count == 0), slots, valid, note)
+
+
+def _apply_rows(op: _SparseOp, mat: np.ndarray) -> None:
+    """``mat <- M @ mat`` in place, rewriting only the rows M changes."""
+    sums = np.zeros((len(op.heads), mat.shape[1]), dtype=mat.dtype)
+    for rows, cols, coeffs in op.slots:
+        sums[rows] += coeffs[:, None] * mat[cols]
+    mat[op.empty] = 0.0
+    mat[op.heads] = sums
 
 
 def _unitarity_residual(mat: np.ndarray, valid: np.ndarray) -> float:
@@ -467,6 +530,7 @@ def assemble(plan: Plan) -> AssembledUnitary:
         raise DimensionCap(
             f"per-photon dimension {dim} exceeds cap {MAX_PHOTON_DIMENSION}"
         )
+    modes, index = _mode_index(plan.space)
     totals = {p: np.eye(dim, dtype=np.complex128) for p in plan.circuit.photons}
     valids = {p: np.ones(dim, dtype=bool) for p in plan.circuit.photons}
     records = []
@@ -475,18 +539,18 @@ def assemble(plan: Plan) -> AssembledUnitary:
         stage_valid = np.ones(dim, dtype=bool)
         notes = [cs.note] if cs.note else []
         for op in cs.ops:
-            mat, valid, note = _column_matrix(op.column, plan.space)
-            stage_mat = mat @ stage_mat
-            stage_valid &= valid
-            if note and note not in notes:
-                notes.append(note)
+            sparse = _sparse_op(op.column, modes, index)
+            _apply_rows(sparse, stage_mat)
+            _apply_rows(sparse, totals[cs.photon])
+            stage_valid &= sparse.valid
+            if sparse.note and sparse.note not in notes:
+                notes.append(sparse.note)
         residual = _unitarity_residual(stage_mat, stage_valid)
         records.append(
             StageMatrixRecord(
                 cs.index, cs.kind, cs.photon, cs.impl, cs.label, residual, "; ".join(notes)
             )
         )
-        totals[cs.photon] = stage_mat @ totals[cs.photon]
         valids[cs.photon] &= stage_valid
     return AssembledUnitary(
         space=plan.space,

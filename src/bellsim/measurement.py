@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .elements import Element, element_column, oam_sorter, pbs
+from .elements import SIGN_DOMAIN, Element, element_column, oam_sorter, pbs
 from .engine import apply_column_to_photon
 from .errors import CalibrationFailure, LeakedAmplitude, MalformedPattern, UnsortableOam
 from .state import POL_H, POL_V, POLARIZATIONS, BasisMode, TwoPhotonState
@@ -202,7 +202,7 @@ def _check_measurable(
                     f"photon {photon} amplitude {amp:.3e} on path {mode.path!r}, "
                     f"outside the measured origins {origins}"
                 )
-            if mode.oam not in (1, -1):
+            if mode.oam not in SIGN_DOMAIN:
                 raise UnsortableOam(
                     f"photon {photon} amplitude on l={mode.oam:+d} at {mode.path!r}; "
                     "the sorter blocks only resolve l=+1/-1"

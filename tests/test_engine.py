@@ -1,17 +1,25 @@
 """Compilation, sparse propagation, and the dense matrix oracle.
 
 The oracle cross-check is the load-bearing test here: the same plan is
-run as sparse dictionary updates and as dense per-photon matrices built
-column by column from the same operators, and the two must agree on a
-seeded batch of random input states.
+run as sparse dictionary updates and as dense per-photon matrices, and
+the two must agree on a seeded batch of random input states.  The dense
+matrices are assembled from each op's nonzero entries, read off the same
+column functions the sparse engine runs, so the oracle is not yet
+independent of the engine; a closed-form oracle built from the physics
+is the open item that makes it so.
 """
 
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bellsim.circuit import builtin_document, parse_circuit
+from bellsim.circuit import STAGE_KINDS, Circuit, Stage, builtin_document, parse_circuit
+from bellsim.elements import ACTIONS, apply_column
 from bellsim.engine import (
     ANCILLA_PATH,
     MAX_PHOTON_DIMENSION,
@@ -27,7 +35,7 @@ from bellsim.errors import (
     OamOverflow,
     UnsortableOam,
 )
-from bellsim.state import BasisMode, ModeSpace, TwoPhotonState
+from bellsim.state import BasisMode, PhotonState, TwoPhotonState
 
 FIG2 = parse_circuit(builtin_document("fig2"))
 SPACE = FIG2.space()
@@ -220,6 +228,112 @@ def test_assembly_notes_identity_fallback():
     dense = assemble(compile_circuit(FIG2))
     noted = {r.kind for r in dense.records if "identity" in r.note}
     assert "o_cps" in noted and "oh" in noted
+
+
+def test_assembly_accumulates_repeated_output_modes():
+    """qp q=0 sends its up and down branches to the same l, so each column
+    lists one output mode twice; the dense matrix must sum them."""
+    circuit = parse_circuit("lmax 2\npaths a1 a2 b1 b2\nstage qp photon=A paths=a1 q=0\n")
+    plan = compile_circuit(circuit)
+    dense = assemble(plan)
+    assert max(r.unitarity_residual for r in dense.records) <= 1e-10
+    modes = plan.space.modes()
+    for ma in modes:
+        for mb in modes:
+            state = TwoPhotonState(plan.space, {(ma, mb): 1.0 + 0.0j})
+            assert _maxdiff(dense.apply(state), propagate(plan, state)) <= 1e-12, (ma, mb)
+
+
+def _reference_matrices(plan):
+    """Per-photon matrices and valid columns, one op at a time: column j of
+    an op is the summed ``apply_column`` image of basis mode j, empty and
+    invalid on OamOverflow, the identity column on UnsortableOam."""
+    modes = plan.space.modes()
+    dim = len(modes)
+    mats = {p: np.eye(dim, dtype=complex) for p in plan.circuit.photons}
+    valids = {p: np.ones(dim, dtype=bool) for p in plan.circuit.photons}
+    for cs in plan.stages:
+        for op in cs.ops:
+            mat = np.zeros((dim, dim), dtype=complex)
+            for j, mode in enumerate(modes):
+                basis = PhotonState(plan.space, {mode: 1.0 + 0.0j})
+                try:
+                    image = apply_column(basis, op.column)
+                except OamOverflow:
+                    valids[cs.photon][j] = False
+                    continue
+                except UnsortableOam:
+                    image = basis
+                for out_mode, amp in image.amplitudes.items():
+                    mat[plan.space.index(out_mode), j] = amp
+            mats[cs.photon] = mat @ mats[cs.photon]
+    return mats, valids
+
+
+_ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
+_CHARGE = st.sampled_from([Fraction(q, 2) for q in (-2, -1, 0, 1, 2)])
+_PARAMS = {
+    "hwp": st.fixed_dictionaries({"theta": _ANGLE}),
+    "qp": st.fixed_dictionaries({"q": _CHARGE}),
+    "spp": st.fixed_dictionaries({"l": st.integers(-3, 3)}),
+    "dp": st.fixed_dictionaries({"alpha": _ANGLE}),
+    "pp": st.fixed_dictionaries(
+        {"phi": _ANGLE}, optional={"pol": st.sampled_from("HV"), "oam": st.integers(-2, 2)}
+    ),
+    "p_cos": st.fixed_dictionaries({}, optional={"q": _CHARGE}),
+}
+_ASSEMBLY_CASES = [(kind, None) for kind in ACTIONS] + [
+    (kind, impl)
+    for kind, spec in STAGE_KINDS.items()
+    if spec.composite and spec.build is not None
+    for impl in ("canonical", "decomposed")
+]
+
+
+@pytest.mark.parametrize("kind,impl", _ASSEMBLY_CASES)
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(data=st.data())
+def test_assembly_matches_summed_columns_per_kind(kind, impl, data):
+    """Every element kind and composite stage kind at lmax 2, one stage on
+    photon A, against the op-by-op reference of summed column images."""
+    if STAGE_KINDS[kind].arity == 2:
+        paths = ("x", "y")
+    else:
+        paths = data.draw(st.sampled_from([("x",), ("x", "y")]))
+    params = data.draw(_PARAMS.get(kind, st.just({})))
+    circuit = Circuit(2, ("x", "y", "z"), (Stage(kind, "A", paths, params),))
+    plan = compile_circuit(circuit, impl)
+    dense = assemble(plan)
+    mats, valids = _reference_matrices(plan)
+    assert np.max(np.abs(dense.u_a - mats["A"])) <= 1e-12
+    assert np.array_equal(dense.u_b, np.eye(plan.space.dimension))
+    assert np.array_equal(dense.valid_a, valids["A"])
+    assert dense.valid_b.all()
+
+
+@pytest.mark.parametrize("impl", ["canonical", "decomposed"])
+def test_dense_apply_on_sparse_states_over_the_whole_space(impl):
+    """Random sparse psi anywhere in the space, not only the l=0 sector:
+    ``apply`` must equal the full ``u_a @ psi @ u_b.T``."""
+    plan = compile_circuit(dataclasses.replace(FIG2, lmax=3), impl)
+    dense = assemble(plan)
+    modes = plan.space.modes()
+    dim = len(modes)
+    rng = np.random.default_rng(0xD5E)
+    for size in (1, 7, 40):
+        flat = rng.choice(dim * dim, size=size, replace=False)
+        psi = np.zeros((dim, dim), dtype=complex)
+        psi.flat[flat] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        state = TwoPhotonState(
+            plan.space,
+            {(modes[i], modes[j]): complex(psi[i, j]) for i, j in zip(*np.nonzero(psi))},
+        )
+        want = dense.u_a @ psi @ dense.u_b.T
+        got = np.zeros_like(want)
+        for (ma, mb), amp in dense.apply(state).amplitudes.items():
+            got[plan.space.index(ma), plan.space.index(mb)] = amp
+        assert np.max(np.abs(got - want)) <= 1e-12
+    assert dense.apply(TwoPhotonState(plan.space, {})).amplitudes == {}
 
 
 def test_dimension_cap():
