@@ -23,7 +23,7 @@ import numpy as np
 
 from .circuit import Circuit, builtin_document, parse_circuit
 from .engine import Plan, assemble, compile_circuit, propagate, propagate_with_checkpoints, restrict_to_circuit
-from .errors import MalformedPattern
+from .errors import MalformedPattern, ZeroNorm
 from .measurement import (
     CoincidencePattern,
     DetectorId,
@@ -358,6 +358,9 @@ def reference_stage_states(
 
 @dataclass(frozen=True)
 class StageRecord:
+    """One checkpoint against its reference.  ``global_phase`` is the unit c
+    with state ~ c*reference, or ``complex(nan, nan)`` when they are orthogonal."""
+
     checkpoint: str
     fidelity: float
     global_phase: complex
@@ -379,17 +382,12 @@ def stage_states(
     for name, _count in plan.checkpoints:
         if name not in refs:
             continue
-        got = marks[name]
-        ref = refs[name]
-        records.append(
-            StageRecord(
-                checkpoint=name,
-                fidelity=fidelity(got, ref),
-                global_phase=global_phase_between(got, ref),
-                state=got,
-                reference=ref,
-            )
-        )
+        got, ref = marks[name], refs[name]
+        try:
+            phase = global_phase_between(got, ref)
+        except ZeroNorm:
+            phase = complex(math.nan, math.nan)
+        records.append(StageRecord(name, fidelity(got, ref), phase, got, ref))
     return records
 
 

@@ -18,6 +18,7 @@ All output is deterministic for a given platform and argument list.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import sys
@@ -209,10 +210,9 @@ def _cmd_stages(args) -> int:
                     {
                         "name": r.checkpoint,
                         "fidelity": r.fidelity,
-                        "global_phase": {
-                            "re": r.global_phase.real,
-                            "im": r.global_phase.imag,
-                        },
+                        "global_phase": None
+                        if cmath.isnan(r.global_phase)
+                        else {"re": r.global_phase.real, "im": r.global_phase.imag},
                     }
                     for r in records
                 ],
@@ -222,7 +222,7 @@ def _cmd_stages(args) -> int:
     else:
         sys.stdout.write(f"input: {args.input}\n")
         for r in records:
-            phase = f"{r.global_phase.real:+.6f}{r.global_phase.imag:+.6f}j"
+            phase = "n/a" if cmath.isnan(r.global_phase) else f"{r.global_phase:+.6f}"
             sys.stdout.write(
                 f"checkpoint {r.checkpoint:<8}  fidelity {r.fidelity:.12f}  "
                 f"phase {phase}\n"

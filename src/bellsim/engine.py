@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import ANCILLA_PATH, STAGE_KINDS, Circuit, CompiledOp
-from .elements import SIGN_DOMAIN, ColumnFn
+from .elements import SIGN_DOMAIN, ColumnFn, Terms
 from .errors import (
     BellSimError,
     DimensionCap,
@@ -293,14 +293,24 @@ def validate(circuit: Circuit) -> ValidationReport:
 
 
 def apply_column_to_photon(state: TwoPhotonState, photon: str, column: ColumnFn) -> TwoPhotonState:
-    """Apply a single-photon column operator to one factor of a pair state."""
+    """Apply a single-photon column operator to one factor of a pair state.
+
+    The column runs once per distinct mode, in first-appearance order.  An
+    all-identity image returns the input itself; else only new modes are checked.
+    """
     first = photon == "A"
+    modes = dict.fromkeys(ma if first else mb for ma, mb in state.amplitudes)
+    images: dict[BasisMode, Terms] = {mode: column(mode) for mode in modes}
+    if all(image == [(mode, 1.0 + 0.0j)] for mode, image in images.items()):
+        return state
+    for mode in dict.fromkeys(m for image in images.values() for m, _ in image if m not in images):
+        state.space.check_mode(mode)
     out: dict = {}
     for (ma, mb), amp in state.amplitudes.items():
-        for mode, coeff in column(ma if first else mb):
+        for mode, coeff in images[ma if first else mb]:
             key = (mode, mb) if first else (ma, mode)
             out[key] = out.get(key, 0j) + amp * coeff
-    return TwoPhotonState(state.space, _clean(out))
+    return TwoPhotonState._trusted(state.space, _clean(out))
 
 
 def restrict_to_circuit(plan: Plan, state: TwoPhotonState, where: str = "state") -> TwoPhotonState:
@@ -322,14 +332,15 @@ def restrict_to_circuit(plan: Plan, state: TwoPhotonState, where: str = "state")
         raise LeakedAmplitude(
             f"{where}: probability {leak:.3e} left on ancilla path {plan.ancilla}"
         )
-    return TwoPhotonState(plan.circuit.space(), kept)
+    # every kept mode was checked in the plan's space and is off the ancilla
+    return TwoPhotonState._trusted(plan.circuit.space(), kept)
 
 
 def _run(plan: Plan, state: TwoPhotonState) -> "list[TwoPhotonState]":
-    """States after each compiled stage (index i = after stage i+1)."""
+    """The input in the plan's space, then the state after each compiled stage."""
     if state.space != plan.space:
         state = state.with_space(plan.space)
-    trace = []
+    trace = [state]
     for cs in plan.stages:
         for op in cs.ops:
             try:
@@ -344,9 +355,7 @@ def _run(plan: Plan, state: TwoPhotonState) -> "list[TwoPhotonState]":
 
 def propagate(plan: Plan, state: TwoPhotonState) -> TwoPhotonState:
     """Final state in the circuit's own space (ancilla checked + stripped)."""
-    trace = _run(plan, state)
-    final = trace[-1] if trace else state.with_space(plan.space)
-    return restrict_to_circuit(plan, final, "after final stage")
+    return restrict_to_circuit(plan, _run(plan, state)[-1], "after final stage")
 
 
 def propagate_with_checkpoints(
@@ -354,12 +363,11 @@ def propagate_with_checkpoints(
 ) -> tuple[TwoPhotonState, dict[str, TwoPhotonState]]:
     """Propagate and also return the state after each kind's last stage."""
     trace = _run(plan, state)
-    marks: dict[str, TwoPhotonState] = {}
-    for kind, count in plan.checkpoints:
-        snap = trace[count - 1] if count else state.with_space(plan.space)
-        marks[kind] = restrict_to_circuit(plan, snap, f"checkpoint {kind}")
-    final = trace[-1] if trace else state.with_space(plan.space)
-    return restrict_to_circuit(plan, final, "after final stage"), marks
+    marks = {
+        kind: restrict_to_circuit(plan, trace[count], f"checkpoint {kind}")
+        for kind, count in plan.checkpoints
+    }
+    return restrict_to_circuit(plan, trace[-1], "after final stage"), marks
 
 
 # -- dense assembly oracle ----------------------------------------------

@@ -185,6 +185,13 @@ class TwoPhotonState:
             self.space.check_mode(ma)
             self.space.check_mode(mb)
 
+    @classmethod
+    def _trusted(cls, space: ModeSpace, amplitudes: dict) -> "TwoPhotonState":
+        """Build without re-checking modes the caller has already checked."""
+        state = object.__new__(cls)
+        state.__dict__.update(space=space, amplitudes=amplitudes)
+        return state
+
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
 

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from bellsim.analyzer import (
     tamper_table,
     verify,
 )
+from bellsim.circuit import builtin_document, parse_circuit
 from bellsim.errors import MalformedPattern
 from bellsim.measurement import enumerate_patterns, parse_pattern
 from bellsim.state import fidelity, superpose
@@ -111,6 +114,26 @@ def test_stage_global_phases(label):
     for rec in records:
         expected = -1.0 if (label, rec.checkpoint) == ("psi-", "hwp") else 1.0
         assert rec.global_phase == pytest.approx(expected, abs=1e-10)
+
+
+def _fig2_without(kind):
+    text = builtin_document("fig2")
+    return "".join(line for line in text.splitlines(True) if f"stage {kind} " not in line)
+
+
+@pytest.mark.parametrize("impl", [None, "decomposed"])
+def test_orthogonal_checkpoint_is_reported_not_raised(impl):
+    # without the Dove prism stage the oh and hwp checkpoints of psi- are
+    # orthogonal to their references: a failing record with no phase
+    records = stage_states("psi-", impl, parse_circuit(_fig2_without("dp_stage")))
+    by_name = {r.checkpoint: r for r in records}
+    assert list(by_name) == ["p_cos", "o_cps", "oh", "hwp"]
+    for name in ("oh", "hwp"):
+        assert by_name[name].fidelity < 1e-20
+        assert cmath.isnan(by_name[name].global_phase)
+    for name in ("p_cos", "o_cps"):
+        assert by_name[name].fidelity >= 1 - 1e-10
+        assert by_name[name].global_phase == pytest.approx(1.0, abs=1e-10)
 
 
 def test_reference_states_are_normalized():

@@ -11,6 +11,7 @@ import pathlib
 
 import pytest
 
+from bellsim.circuit import builtin_document
 from bellsim.cli import build_parser, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -212,3 +213,26 @@ def test_parser_lists_subcommands():
     text = parser.format_help()
     for sub in ("run", "verify", "stages", "describe", "export-table", "oracle"):
         assert sub in text
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("impl", ["canonical", "decomposed"])
+def test_stages_with_an_orthogonal_checkpoint(capsys, tmp_path, impl):
+    path = tmp_path / "no_dp.circ"
+    text = builtin_document("fig2")
+    path.write_text("".join(line for line in text.splitlines(True) if "dp_stage" not in line))
+    argv = ["stages", "--input", "psi-", "--circuit", str(path), "--impl", impl]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and err == ""
+    assert "checkpoint oh        fidelity 0.000000000000  phase n/a\n" in out
+    assert out.endswith("all checkpoints within 1e-10: NO\n")
+    code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 1
+    payload = json.loads(out, parse_constant=_reject_constant)
+    phases = {c["name"]: c["global_phase"] for c in payload["checkpoints"]}
+    assert phases["oh"] is None and phases["hwp"] is None
+    assert phases["p_cos"]["re"] == pytest.approx(1.0)
+    assert payload["ok"] is False

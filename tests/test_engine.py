@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 
 from bellsim.circuit import STAGE_KINDS, Circuit, Stage, builtin_document, parse_circuit
 from bellsim.elements import ACTIONS, apply_column
+from bellsim.analyzer import prepare_input
 from bellsim.engine import (
     ANCILLA_PATH,
     MAX_PHOTON_DIMENSION,
+    apply_column_to_photon,
     assemble,
     compile_circuit,
     propagate,
@@ -33,6 +35,7 @@ from bellsim.errors import (
     DimensionCap,
     LeakedAmplitude,
     OamOverflow,
+    UnknownPath,
     UnsortableOam,
 )
 from bellsim.state import BasisMode, PhotonState, TwoPhotonState
@@ -179,6 +182,40 @@ def test_restrict_raises_on_ancilla_light():
     )
     with pytest.raises(LeakedAmplitude):
         restrict_to_circuit(plan, bad, "unit test")
+
+
+def _h0_pair():
+    return TwoPhotonState(SPACE, {(BasisMode("H", 0, "a1"), BasisMode("H", 0, "a2")): 1.0})
+
+
+def test_user_column_to_undeclared_path_raises():
+    def column(mode):
+        return [(BasisMode(mode.pol, mode.oam, "nowhere"), 1.0 + 0.0j)]
+
+    with pytest.raises(UnknownPath):
+        apply_column_to_photon(_h0_pair(), "B", column)
+
+
+def test_user_column_past_lmax_raises():
+    def column(mode):
+        return [(BasisMode(mode.pol, mode.oam + SPACE.lmax + 1, mode.path), 1.0 + 0.0j)]
+
+    with pytest.raises(OamOverflow):
+        apply_column_to_photon(_h0_pair(), "A", column)
+
+
+def test_identity_column_returns_the_input_object():
+    st = _h0_pair()
+    assert apply_column_to_photon(st, "A", lambda m: [(m, 1.0 + 0.0j)]) is st
+
+
+@pytest.mark.parametrize("impl", ["canonical", "decomposed"])
+def test_sub_threshold_input_amplitude_is_dropped(impl):
+    plan = compile_circuit(FIG2, impl)
+    bell = prepare_input("phi+", SPACE)
+    tiny = dict(bell.amplitudes)
+    tiny[(BasisMode("H", 0, "a1"), BasisMode("H", 0, "b2"))] = 1e-16
+    assert repr(propagate(plan, TwoPhotonState(SPACE, tiny))) == repr(propagate(plan, bell))
 
 
 # -- dense assembly -----------------------------------------------------

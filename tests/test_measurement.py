@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from bellsim.errors import LeakedAmplitude, MalformedPattern, UnsortableOam
+from bellsim import measurement
+from bellsim.errors import CalibrationFailure, LeakedAmplitude, MalformedPattern, UnsortableOam
 from bellsim.measurement import (
     CoincidencePattern,
     DetectorId,
@@ -179,3 +180,60 @@ def test_projection_bad_impl():
     st = TwoPhotonState(SPACE, {_pair(1, "H", "a1", 1, "H", "a2"): 1.0})
     with pytest.raises(ValueError):
         sppm_project(st, ("a1", "b1"), ("a2", "b2"), impl="magic")
+
+
+# -- the decomposed readout's routing table --------------------------------
+
+
+@pytest.fixture
+def fresh_routes():
+    """Clear the per-origin routing cache around a test that patches it."""
+    measurement._routes.cache_clear()
+    yield
+    measurement._routes.cache_clear()
+
+
+@pytest.mark.parametrize("origin", ["a1", "b1", "a2", "b2"])
+def test_routing_table_sends_each_mode_to_its_own_port(origin):
+    routes = measurement._routes(origin)
+    assert len(routes) == 4
+    for mode, terms in routes.items():
+        assert mode.path == origin and mode.oam in (1, -1)
+        assert len(terms) == 1
+        port, coeff = terms[0]
+        assert port == DetectorId(mode.oam, mode.pol, origin)
+        assert coeff == 1 + 0j and type(coeff) is complex
+
+
+def _swapped_port_map(real):
+    def swapped(origin):
+        ports = real(origin)
+        h, v = BasisMode("H", 1, origin), BasisMode("V", 1, measurement._scoped(origin)[1])
+        ports[h], ports[v] = ports[v], ports[h]
+        return ports
+
+    return swapped
+
+
+def test_swapped_port_map_fails_calibration(monkeypatch, fresh_routes):
+    monkeypatch.setattr(measurement, "_port_map", _swapped_port_map(measurement._port_map))
+    st = TwoPhotonState(SPACE, {_pair(1, "H", "a1", 1, "H", "a2"): 1.0})
+    assert sppm_project(st, ("a1", "b1"), ("a2", "b2"), impl="canonical").probability(
+        parse_pattern("D[+1,H,a1] & D[+1,H,a2]")
+    ) == 1.0
+    with pytest.raises(CalibrationFailure, match="deviates from direct readout"):
+        sppm_project(st, ("a1", "b1"), ("a2", "b2"), impl="decomposed")
+
+
+def test_port_map_missing_a_port_leaks(monkeypatch, fresh_routes):
+    real = measurement._port_map
+
+    def missing(origin):
+        ports = real(origin)
+        del ports[BasisMode("H", -1, measurement._scoped(origin)[0])]
+        return ports
+
+    monkeypatch.setattr(measurement, "_port_map", missing)
+    st = TwoPhotonState(SPACE, {_pair(-1, "H", "a1", 1, "H", "a2"): 1.0})
+    with pytest.raises(LeakedAmplitude, match="missed every detector port"):
+        sppm_project(st, ("a1", "b1"), ("a2", "b2"), impl="decomposed")
