@@ -7,7 +7,11 @@ gate columns or their element decompositions), the measurement origins
 declared by ``sppm`` stages, and checkpoint positions after the last
 stage of each kind.  ``validate`` walks the same operators over the
 modes the analyzer's inputs can reach, for every plan the CLI can run.
-``propagate`` pushes a sparse two-photon state through the plan;
+``propagate`` pushes each input mode through its photon's ops once per
+plan, caching the images on the plan, and builds each returned pair state
+by one contraction of the input with them.  If a push raised, the run is
+replayed op by op: that raises the error naming its stage and element, or
+returns the state if the joint amplitudes on the bad mode cancel.
 ``assemble`` builds dense per-photon matrices for the same plan, one
 sparse row update per op from the op's nonzero entries, so the two
 evolutions can be cross-checked.
@@ -25,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import ANCILLA_PATH, STAGE_KINDS, Circuit, CompiledOp
-from .elements import SIGN_DOMAIN, ColumnFn, Terms
+from .elements import SIGN_DOMAIN, ColumnFn, Terms, apply_column
 from .errors import (
     BellSimError,
     DimensionCap,
@@ -33,7 +37,7 @@ from .errors import (
     OamOverflow,
     UnsortableOam,
 )
-from .state import DROP_EPS, POLARIZATIONS, BasisMode, ModeSpace, TwoPhotonState, _clean
+from .state import DROP_EPS, POLARIZATIONS, BasisMode, ModeSpace, PhotonState, TwoPhotonState, _clean
 
 __all__ = [
     "CompiledOp",
@@ -85,6 +89,7 @@ class Plan:
     origins: dict[str, tuple[str, ...]]
     sppm_impl: dict[str, str]  # origin path -> canonical | decomposed
     checkpoints: tuple[tuple[str, int], ...]  # (kind, compiled-stage count)
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _resolve(circuit: Circuit, impl_override: str | None):
@@ -337,9 +342,7 @@ def restrict_to_circuit(plan: Plan, state: TwoPhotonState, where: str = "state")
 
 
 def _run(plan: Plan, state: TwoPhotonState) -> "list[TwoPhotonState]":
-    """The input in the plan's space, then the state after each compiled stage."""
-    if state.space != plan.space:
-        state = state.with_space(plan.space)
+    """The input, then the state after each compiled stage, op by op."""
     trace = [state]
     for cs in plan.stages:
         for op in cs.ops:
@@ -353,21 +356,63 @@ def _run(plan: Plan, state: TwoPhotonState) -> "list[TwoPhotonState]":
     return trace
 
 
+def _push(plan: Plan, photon: str, mode: BasisMode) -> "list[dict] | None":
+    """The mode's image {out_mode: coeff} after each stage count, each extending
+    the one before, cached on the plan by (photon, mode); None if the push raised."""
+    if (photon, mode) not in plan._images:
+        single = PhotonState(plan.space, {mode: 1.0 + 0.0j})
+        images = [single.amplitudes]
+        try:
+            for cs in plan.stages:
+                for op in cs.ops if cs.photon == photon else ():
+                    single = apply_column(single, op.column)
+                images.append(single.amplitudes)
+        except BellSimError:
+            images = None
+        plan._images[photon, mode] = images
+    return plan._images[photon, mode]
+
+
+def _states(plan: Plan, state: TwoPhotonState, counts: tuple[int, ...]) -> "list[TwoPhotonState]":
+    """The state in the plan's space after the first ``count`` stages, for each count."""
+    if state.space != plan.space:
+        state = state.with_space(plan.space)
+    images_a = {ma: _push(plan, "A", ma) for ma, _ in state.amplitudes}
+    images_b = {mb: _push(plan, "B", mb) for _, mb in state.amplitudes}
+    if None in images_a.values() or None in images_b.values():
+        trace = _run(plan, state)
+        return [trace[count] for count in counts]
+    out = []
+    for count in counts:
+        amps: dict = {}
+        for (ma, mb), amp in state.amplitudes.items():
+            image_b = images_b[mb][count]
+            for xa, ca in images_a[ma][count].items():
+                for xb, cb in image_b.items():
+                    amps[xa, xb] = amps.get((xa, xb), 0j) + amp * ca * cb
+        # every image mode was checked in the plan's space by its push
+        out.append(TwoPhotonState._trusted(plan.space, _clean(amps)) if count else state)
+    return out
+
+
 def propagate(plan: Plan, state: TwoPhotonState) -> TwoPhotonState:
-    """Final state in the circuit's own space (ancilla checked + stripped)."""
-    return restrict_to_circuit(plan, _run(plan, state)[-1], "after final stage")
+    """Final state in the circuit's own space (ancilla checked + stripped): one
+    contraction with mode images built once per plan; a raising push is replayed op by op."""
+    (final,) = _states(plan, state, (len(plan.stages),))
+    return restrict_to_circuit(plan, final, "after final stage")
 
 
 def propagate_with_checkpoints(
     plan: Plan, state: TwoPhotonState
 ) -> tuple[TwoPhotonState, dict[str, TwoPhotonState]]:
     """Propagate and also return the state after each kind's last stage."""
-    trace = _run(plan, state)
+    counts = tuple(sorted({count for _, count in plan.checkpoints} | {len(plan.stages)}))
+    at = dict(zip(counts, _states(plan, state, counts)))
     marks = {
-        kind: restrict_to_circuit(plan, trace[count], f"checkpoint {kind}")
+        kind: restrict_to_circuit(plan, at[count], f"checkpoint {kind}")
         for kind, count in plan.checkpoints
     }
-    return restrict_to_circuit(plan, trace[-1], "after final stage"), marks
+    return restrict_to_circuit(plan, at[len(plan.stages)], "after final stage"), marks
 
 
 # -- dense assembly oracle ----------------------------------------------

@@ -268,8 +268,8 @@ def sppm_project(
     if impl == "decomposed":
         routed = _routed_probs(state)
         worst = max(
-            abs(direct.get(k, 0.0) - routed.get(k, 0.0))
-            for k in set(direct) | set(routed)
+            (abs(direct.get(k, 0.0) - routed.get(k, 0.0)) for k in set(direct) | set(routed)),
+            default=0.0,
         )
         if worst > _CROSSCHECK_TOL:
             raise CalibrationFailure(

@@ -1,8 +1,9 @@
 """Compilation, sparse propagation, and the dense matrix oracle.
 
 The oracle cross-check is the load-bearing test here: the same plan is
-run as sparse dictionary updates and as dense per-photon matrices, and
-the two must agree on a seeded batch of random input states.  The dense
+run sparsely (per-mode images contracted with the input, checked here
+against an op-by-op fold) and as dense per-photon matrices, and the two
+must agree on a seeded batch of random input states.  The dense
 matrices are assembled from each op's nonzero entries, read off the same
 column functions the sparse engine runs, so the oracle is not yet
 independent of the engine; a closed-form oracle built from the physics
@@ -15,15 +16,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bellsim import engine
 from bellsim.circuit import STAGE_KINDS, Circuit, Stage, builtin_document, parse_circuit
 from bellsim.elements import ACTIONS, apply_column
-from bellsim.analyzer import prepare_input
+from bellsim.analyzer import BELL_LABELS, prepare_input
 from bellsim.engine import (
     ANCILLA_PATH,
     MAX_PHOTON_DIMENSION,
+    CompiledOp,
+    CompiledStage,
+    Plan,
     apply_column_to_photon,
     assemble,
     compile_circuit,
@@ -38,7 +43,7 @@ from bellsim.errors import (
     UnknownPath,
     UnsortableOam,
 )
-from bellsim.state import BasisMode, PhotonState, TwoPhotonState
+from bellsim.state import BasisMode, ModeSpace, PhotonState, TwoPhotonState
 
 FIG2 = parse_circuit(builtin_document("fig2"))
 SPACE = FIG2.space()
@@ -216,6 +221,150 @@ def test_sub_threshold_input_amplitude_is_dropped(impl):
     tiny = dict(bell.amplitudes)
     tiny[(BasisMode("H", 0, "a1"), BasisMode("H", 0, "b2"))] = 1e-16
     assert repr(propagate(plan, TwoPhotonState(SPACE, tiny))) == repr(propagate(plan, bell))
+
+
+def _fold(plan, state):
+    """Reference: the state after each compiled stage, one
+    ``apply_column_to_photon`` per op, with no per-mode images."""
+    state = state.with_space(plan.space)
+    trace = [state]
+    for cs in plan.stages:
+        for op in cs.ops:
+            state = apply_column_to_photon(state, cs.photon, op.column)
+        trace.append(state)
+    return trace
+
+
+def _assert_close(got, want):
+    assert got.space == want.space
+    assert got.amplitudes.keys() == want.amplitudes.keys()
+    for key, amp in want.amplitudes.items():
+        assert abs(got.amplitudes[key] - amp) <= 1e-15, key
+
+
+_FOLD_PLANS = {
+    (lmax, impl): compile_circuit(dataclasses.replace(FIG2, lmax=lmax), impl)
+    for lmax in (4, 16)
+    for impl in (None, "canonical", "decomposed")
+}
+
+
+def _no_replay(*args):
+    raise AssertionError("op-by-op replay ran, but no push raises on fig2's input sector")
+
+
+def _assert_matches_fold(plan, state):
+    trace = _fold(plan, state)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "apply_column_to_photon", _no_replay)
+        final, marks = propagate_with_checkpoints(plan, state)
+        _assert_close(propagate(plan, state), restrict_to_circuit(plan, trace[-1]))
+    _assert_close(final, restrict_to_circuit(plan, trace[-1]))
+    assert marks.keys() == {kind for kind, _ in plan.checkpoints}
+    for kind, count in plan.checkpoints:
+        _assert_close(marks[kind], restrict_to_circuit(plan, trace[count]))
+
+
+@pytest.mark.parametrize("key", list(_FOLD_PLANS))
+@pytest.mark.parametrize("label", BELL_LABELS)
+def test_propagation_matches_op_by_op_fold_on_bell_inputs(key, label):
+    plan = _FOLD_PLANS[key]
+    _assert_matches_fold(plan, prepare_input(label, plan.circuit.space()))
+
+
+_PARTS = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("key", list(_FOLD_PLANS))
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(parts=st.lists(st.tuples(_PARTS, _PARTS), min_size=len(_SECTOR), max_size=len(_SECTOR)))
+def test_propagation_matches_op_by_op_fold_on_sector_states(key, parts):
+    amps = [complex(re, im) for re, im in parts]
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+    assume(norm > 1e-3)
+    plan = _FOLD_PLANS[key]
+    state = TwoPhotonState(
+        plan.circuit.space(), {pair: a / norm for pair, a in zip(_SECTOR, amps) if a}
+    )
+    _assert_matches_fold(plan, state)
+
+
+_HAND_SPACE = ModeSpace(2, ("x", "y"))
+_H0X, _V0X, _H0Y = BasisMode("H", 0, "x"), BasisMode("V", 0, "x"), BasisMode("H", 0, "y")
+_C = 2 ** -0.5
+
+
+def _hadamard(mode):
+    """H -> (H + V)/sqrt2 and V -> (H - V)/sqrt2 on path x."""
+    if mode.path != "x":
+        return [(mode, 1.0 + 0.0j)]
+    sign = 1.0 if mode.pol == "H" else -1.0
+    return [(_H0X, complex(_C)), (_V0X, complex(sign * _C))]
+
+
+def _rejects_v(mode):
+    if mode == _V0X:
+        raise UnsortableOam("V on x is not allowed here")
+    return [(mode, 1.0 + 0.0j)]
+
+
+def _hand_plan(*columns):
+    ops = tuple(CompiledOp(f"e{i + 1}", column) for i, column in enumerate(columns))
+    return Plan(
+        circuit=Circuit(2, ("x", "y"), ()),
+        space=_HAND_SPACE,
+        ancilla=None,
+        stages=(CompiledStage(0, "custom", "A", "canonical", "custom", ops),),
+        origins={"A": ("x",), "B": ("y",)},
+        sppm_impl={},
+        checkpoints=(("custom", 1),),
+    )
+
+
+def test_raising_push_whose_joint_amplitude_cancels_returns_the_fold():
+    """H0x's push reaches V0x, which the second op rejects; in this state
+    the joint amplitude on V0x cancels after the first op, so nothing raises."""
+    plan = _hand_plan(_hadamard, _rejects_v)
+    state = TwoPhotonState(_HAND_SPACE, {(_H0X, _H0Y): complex(_C), (_V0X, _H0Y): complex(_C)})
+    want = _fold(plan, state)[-1]
+    assert want.amplitudes.keys() == {(_H0X, _H0Y)}
+    _assert_close(propagate(plan, state), want)
+    assert plan._images["A", _H0X] is None  # the push did raise
+    final, marks = propagate_with_checkpoints(plan, state)
+    _assert_close(final, want)
+    _assert_close(marks["custom"], want)
+
+
+def test_raising_push_without_cancellation_raises_the_op_by_op_error():
+    plan = _hand_plan(_hadamard, _rejects_v)
+    state = TwoPhotonState(_HAND_SPACE, {(_H0X, _H0Y): 1.0 + 0.0j})
+    with pytest.raises(UnsortableOam) as fold_info:
+        _fold(plan, state)
+    text = f"stage 1 (custom), element e2: {fold_info.value}"
+    for run in (propagate, propagate_with_checkpoints):
+        with pytest.raises(UnsortableOam) as info:
+            run(plan, state)
+        assert str(info.value) == text
+
+
+def test_second_state_on_the_same_modes_makes_no_column_calls():
+    calls = []
+
+    def counting(mode):
+        calls.append(mode)
+        return _hadamard(mode)
+
+    plan = _hand_plan(counting)
+    assert plan._images == {}  # filled lazily, not by construction
+    # photon B sits on x too, where only photon A's op may act
+    first = TwoPhotonState(_HAND_SPACE, {(_H0X, _H0X): 0.6 + 0.0j, (_V0X, _H0X): 0.8j})
+    propagate(plan, first)
+    assert calls
+    second = TwoPhotonState(_HAND_SPACE, {(_H0X, _H0X): 0.8 + 0.0j, (_V0X, _H0X): -0.6 + 0.0j})
+    calls.clear()
+    got = propagate(plan, second)
+    assert calls == []
+    _assert_close(got, _fold(plan, second)[-1])
 
 
 # -- dense assembly -----------------------------------------------------

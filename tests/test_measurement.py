@@ -176,6 +176,12 @@ def test_decomposed_projection_matches_direct():
         assert direct.tvd(routed) < 1e-12
 
 
+@pytest.mark.parametrize("impl", ["canonical", "decomposed"])
+def test_empty_state_projection_raises_the_same_error(impl):
+    with pytest.raises(ValueError, match=r"^probabilities sum to 0, not 1$"):
+        sppm_project(TwoPhotonState(SPACE, {}), ("a1", "b1"), ("a2", "b2"), impl)
+
+
 def test_projection_bad_impl():
     st = TwoPhotonState(SPACE, {_pair(1, "H", "a1", 1, "H", "a2"): 1.0})
     with pytest.raises(ValueError):
