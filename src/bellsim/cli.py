@@ -273,6 +273,8 @@ def _cmd_export_table(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.n_random < 0:
         raise _Usage("--n-random must be >= 0")
+    if args.seed < 0:
+        raise _Usage("--seed must be >= 0")
     circuit = _load_circuit(args)
     report = analyzer.oracle_check(args.impl, circuit, args.n_random, args.seed)
     if args.format == "json":

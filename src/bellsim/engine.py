@@ -325,7 +325,8 @@ def restrict_to_circuit(plan: Plan, state: TwoPhotonState, where: str = "state")
         LeakedAmplitude: if more than 1e-10 of the probability sits on the
             ancilla (the interferometer did not return it empty).
     """
-    if plan.ancilla is None or state.space == plan.circuit.space():
+    space = plan.circuit.space()
+    if plan.ancilla is None or state.space == space:
         return state
     kept = {
         key: amp
@@ -338,7 +339,7 @@ def restrict_to_circuit(plan: Plan, state: TwoPhotonState, where: str = "state")
             f"{where}: probability {leak:.3e} left on ancilla path {plan.ancilla}"
         )
     # every kept mode was checked in the plan's space and is off the ancilla
-    return TwoPhotonState._trusted(plan.circuit.space(), kept)
+    return TwoPhotonState._trusted(space, kept)
 
 
 def _run(plan: Plan, state: TwoPhotonState) -> "list[TwoPhotonState]":

@@ -69,7 +69,7 @@ class LeakedAmplitude(BellSimError):
 
 
 class CalibrationFailure(BellSimError):
-    """A decomposition's calibration phases could not be solved consistently."""
+    """Calibration phases could not be solved, or a sorter block misroutes a mode."""
 
 
 class DimensionCap(BellSimError):

@@ -7,11 +7,11 @@ origin).  Joint two-photon outcomes are coincidence patterns such as::
 
     D[+1,H,a1] & D[-1,V,b2]
 
-``sppm_project`` computes the outcome distribution either by direct Born
-readout of the mode amplitudes (``canonical``) or through the explicit
-sorter elements (``decomposed``), compiled once per origin into a table
-of output ports; the two must agree to 1e-12, and the decomposed path
-cross-checks that on every state.
+``sppm_project`` reads every state by the Born rule, one pass over its
+mode amplitudes.  The ``decomposed`` impl first checks, once per origin,
+that the explicit sorter elements send each (pol, l=+1/-1) mode to its
+own detector alone with a unit coefficient; the direct readout then
+equals the routed one on every state.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple
 
 from .elements import SIGN_DOMAIN, Element, apply_elements, oam_sorter, pbs
 from .errors import CalibrationFailure, LeakedAmplitude, MalformedPattern, UnsortableOam
-from .state import DROP_EPS, POL_H, POL_V, POLARIZATIONS, BasisMode, ModeSpace, PhotonState, TwoPhotonState
+from .state import POL_H, POL_V, POLARIZATIONS, BasisMode, ModeSpace, PhotonState, TwoPhotonState
 
 __all__ = [
     "DetectorId",
@@ -40,9 +40,7 @@ __all__ = [
 ]
 
 PROBABILITY_TOL = 1e-10
-_CROSSCHECK_TOL = 1e-12
-
-OAM_SIGNS = (-1, 1)
+_UNIT_TOL = 1e-12
 
 
 class DetectorId(NamedTuple):
@@ -97,7 +95,7 @@ def detectors_for_origins(origins: Iterable[str]) -> tuple[DetectorId, ...]:
     out = []
     for origin in sorted(origins):
         for pol in POLARIZATIONS:
-            for sign in OAM_SIGNS:
+            for sign in sorted(SIGN_DOMAIN):
                 out.append(DetectorId(sign, pol, origin))
     return tuple(out)
 
@@ -133,8 +131,7 @@ class OutcomeDistribution:
         return self.probs.get(pattern, 0.0)
 
     def support(self) -> tuple[CoincidencePattern, ...]:
-        order = enumerate_patterns(self.origins_a, self.origins_b)
-        return tuple(p for p in order if self.probs.get(p, 0.0) > PROBABILITY_TOL)
+        return tuple(pattern for pattern, _ in self.items_ordered())
 
     def items_ordered(self):
         for pattern in enumerate_patterns(self.origins_a, self.origins_b):
@@ -150,11 +147,7 @@ class OutcomeDistribution:
         )
 
     def to_text(self) -> str:
-        lines = [
-            f"{pattern}  {p:.12g}"
-            for pattern, p in self.items_ordered()
-        ]
-        return "\n".join(lines) + "\n"
+        return "".join(f"{pattern}  {p:.12g}\n" for pattern, p in self.items_ordered())
 
     def to_json_dict(self) -> dict:
         return {
@@ -192,9 +185,64 @@ def _port_map(origin: str) -> dict[BasisMode, DetectorId]:
     }
 
 
-def _check_measurable(
-    state: TwoPhotonState, origins_a: tuple[str, ...], origins_b: tuple[str, ...]
-) -> None:
+@lru_cache(maxsize=None)
+def _routes(origin: str) -> dict[BasisMode, tuple[tuple[DetectorId, complex], ...]]:
+    """Each (pol, l=+1/-1) mode of an origin pushed once through its sorter
+    block, as (port, coefficient) terms.  Each must reach its own detector
+    alone with unit modulus, so reading |amp|^2 directly equals routing it.
+
+    Raises:
+        LeakedAmplitude: an output misses every detector port.
+        CalibrationFailure: any other deviation from the direct readout.
+    """
+    space = ModeSpace(1, (origin, *_scoped(origin)))
+    ports = _port_map(origin)
+    routes = {}
+    for mode in (BasisMode(pol, sign, origin) for pol in POLARIZATIONS for sign in SIGN_DOMAIN):
+        out = apply_elements(PhotonState(space, {mode: 1.0 + 0.0j}), sppm_front_elements(origin))
+        for m in out.amplitudes:
+            if m not in ports:
+                raise LeakedAmplitude(f"sorter output on {m} from {mode} missed every detector port")
+        terms = routes[mode] = tuple((ports[m], c) for m, c in out.amplitudes.items())
+        own = DetectorId(mode.oam, mode.pol, origin)
+        if [d for d, _ in terms] != [own] or abs(abs(terms[0][1]) - 1) > _UNIT_TOL:
+            raise CalibrationFailure(
+                f"sorter block at {origin!r} sends {mode} to {[(str(d), c) for d, c in terms]}, "
+                f"not to {own} alone with unit modulus: decomposed readout "
+                "deviates from direct readout"
+            )
+    return routes
+
+
+def sppm_project(
+    state: TwoPhotonState,
+    origins_a: Iterable[str],
+    origins_b: Iterable[str],
+    impl: str = "canonical",
+) -> OutcomeDistribution:
+    """Outcome distribution of coincidence detection behind sorter blocks.
+
+    Both impls read each state in one Born-rule pass over its amplitudes;
+    ``decomposed`` first checks every measured origin's sorter block, once
+    per origin (the check is cached).
+
+    Raises:
+        LeakedAmplitude: amplitude on a path outside the measured origins,
+            or (decomposed) a sorter output that misses every detector port.
+        UnsortableOam: amplitude outside the l=+1/-1 sorter domain.
+        CalibrationFailure: (decomposed) an origin's sorter table does not
+            send each mode to its own detector alone with unit modulus
+            (should never happen).
+    """
+    origins_a = tuple(origins_a)
+    origins_b = tuple(origins_b)
+    if impl == "decomposed":
+        for origin in origins_a + origins_b:
+            _routes(origin)
+    elif impl != "canonical":
+        raise ValueError(f"bad impl: {impl!r}")
+    # a pair of modes maps to one pattern, and no two pairs to the same one
+    probs: dict[CoincidencePattern, float] = {}
     for (ma, mb), amp in state.amplitudes.items():
         for mode, origins, photon in ((ma, origins_a, "A"), (mb, origins_b, "B")):
             if mode.path not in origins:
@@ -207,78 +255,8 @@ def _check_measurable(
                     f"photon {photon} amplitude on l={mode.oam:+d} at {mode.path!r}; "
                     "the sorter blocks only resolve l=+1/-1"
                 )
-
-
-def _direct_probs(state: TwoPhotonState) -> dict[CoincidencePattern, float]:
-    probs: dict[CoincidencePattern, float] = {}
-    for (ma, mb), amp in state.amplitudes.items():
         pattern = CoincidencePattern(
             DetectorId(ma.oam, ma.pol, ma.path), DetectorId(mb.oam, mb.pol, mb.path)
         )
-        probs[pattern] = probs.get(pattern, 0.0) + abs(amp) ** 2
-    return probs
-
-
-@lru_cache(maxsize=None)
-def _routes(origin: str) -> dict[BasisMode, tuple[tuple[DetectorId, complex], ...]]:
-    """Each (pol, l=+1/-1) mode of an origin pushed once through its sorter
-    block, as (port, coefficient) terms; an output missing every port stays a mode."""
-    space = ModeSpace(1, (origin, *_scoped(origin)))
-    ports = _port_map(origin)
-    routes = {}
-    for mode in (BasisMode(pol, sign, origin) for pol in POLARIZATIONS for sign in SIGN_DOMAIN):
-        out = apply_elements(PhotonState(space, {mode: 1.0 + 0.0j}), sppm_front_elements(origin))
-        routes[mode] = tuple((ports.get(m, m), c) for m, c in out.amplitudes.items())
-    return routes
-
-
-def _routed_probs(state: TwoPhotonState) -> dict[CoincidencePattern, float]:
-    amps: dict[tuple, complex] = {}
-    for (ma, mb), amp in state.amplitudes.items():
-        for da, ca in _routes(ma.path)[ma]:
-            for db, cb in _routes(mb.path)[mb]:
-                amps[da, db] = amps.get((da, db), 0j) + amp * ca * cb
-    kept = {pair: amp for pair, amp in amps.items() if abs(amp) > DROP_EPS}
-    for (da, db), amp in kept.items():
-        if BasisMode in (type(da), type(db)):
-            raise LeakedAmplitude(
-                f"routed amplitude {amp:.3e} on ({da}, {db}) missed every detector port"
-            )
-    return {CoincidencePattern(*pair): abs(amp) ** 2 for pair, amp in kept.items()}
-
-
-def sppm_project(
-    state: TwoPhotonState,
-    origins_a: Iterable[str],
-    origins_b: Iterable[str],
-    impl: str = "canonical",
-) -> OutcomeDistribution:
-    """Outcome distribution of coincidence detection behind sorter blocks.
-
-    Raises:
-        LeakedAmplitude: amplitude on a path outside the measured origins.
-        UnsortableOam: amplitude outside the l=+1/-1 sorter domain.
-        CalibrationFailure: decomposed routing disagrees with direct
-            readout beyond 1e-12 (should never happen).
-    """
-    origins_a = tuple(origins_a)
-    origins_b = tuple(origins_b)
-    _check_measurable(state, origins_a, origins_b)
-    direct = _direct_probs(state)
-    if impl == "decomposed":
-        routed = _routed_probs(state)
-        worst = max(
-            (abs(direct.get(k, 0.0) - routed.get(k, 0.0)) for k in set(direct) | set(routed)),
-            default=0.0,
-        )
-        if worst > _CROSSCHECK_TOL:
-            raise CalibrationFailure(
-                f"decomposed sorter readout deviates from direct readout "
-                f"by {worst:.3e}"
-            )
-        probs = routed
-    elif impl == "canonical":
-        probs = direct
-    else:
-        raise ValueError(f"bad impl: {impl!r}")
+        probs[pattern] = abs(amp) ** 2
     return OutcomeDistribution(origins_a, origins_b, probs)

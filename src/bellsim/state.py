@@ -205,7 +205,10 @@ class TwoPhotonState:
         return sorted(self.amplitudes.items(), key=lambda kv: self._pair_index(kv[0]))
 
     def with_space(self, space: ModeSpace) -> "TwoPhotonState":
-        """Re-host the same amplitudes in a compatible (super)space."""
+        """Re-host the same amplitudes in a compatible (super)space; modes
+        are re-checked only if ``space`` does not contain the current one."""
+        if space.lmax >= self.space.lmax and set(self.space.paths) <= set(space.paths):
+            return TwoPhotonState._trusted(space, dict(self.amplitudes))
         return TwoPhotonState(space, dict(self.amplitudes))
 
 

@@ -103,11 +103,14 @@ def test_oracle_subcommand(capsys):
     assert "states checked:          7" in out
 
 
-def test_oracle_negative_count_is_usage_error(capsys):
-    code, out, err = run_cli(capsys, ["oracle", "--n-random", "-3"])
+@pytest.mark.parametrize(
+    "flag, value", [("--n-random", "-3"), ("--seed", "-1")], ids=["n-random", "seed"]
+)
+def test_oracle_negative_count_is_usage_error(capsys, flag, value):
+    code, out, err = run_cli(capsys, ["oracle", flag, value])
     assert code == 2
     assert out == ""
-    assert "--n-random must be >= 0" in err
+    assert f"error: {flag} must be >= 0" in err
 
 
 def test_oracle_json(capsys):

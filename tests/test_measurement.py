@@ -171,9 +171,8 @@ def test_decomposed_projection_matches_direct():
     for _ in range(25):
         st = _random_measurable(rng)
         direct = sppm_project(st, ("a1", "b1"), ("a2", "b2"), impl="canonical")
-        # the decomposed readout raises CalibrationFailure past 1e-12
         routed = sppm_project(st, ("a1", "b1"), ("a2", "b2"), impl="decomposed")
-        assert direct.tvd(routed) < 1e-12
+        assert direct.probs == routed.probs
 
 
 @pytest.mark.parametrize("impl", ["canonical", "decomposed"])
@@ -242,4 +241,17 @@ def test_port_map_missing_a_port_leaks(monkeypatch, fresh_routes):
     monkeypatch.setattr(measurement, "_port_map", missing)
     st = TwoPhotonState(SPACE, {_pair(-1, "H", "a1", 1, "H", "a2"): 1.0})
     with pytest.raises(LeakedAmplitude, match="missed every detector port"):
+        sppm_project(st, ("a1", "b1"), ("a2", "b2"), impl="decomposed")
+
+
+def test_every_measured_origin_is_calibrated_not_only_the_touched_ones(monkeypatch, fresh_routes):
+    real = measurement._port_map
+
+    def swapped_at_b1(origin):
+        return _swapped_port_map(real)(origin) if origin == "b1" else real(origin)
+
+    monkeypatch.setattr(measurement, "_port_map", swapped_at_b1)
+    # the state lies only on a1/a2, yet b1 is a measured origin with a wrong table
+    st = TwoPhotonState(SPACE, {_pair(1, "H", "a1", -1, "V", "a2"): 1.0})
+    with pytest.raises(CalibrationFailure, match="deviates from direct readout"):
         sppm_project(st, ("a1", "b1"), ("a2", "b2"), impl="decomposed")

@@ -176,3 +176,14 @@ def test_extended_space_rehosts_states():
     moved = st.with_space(bigger)
     assert moved.space == bigger
     assert moved.amplitude((BasisMode("H", 0, "a"), BasisMode("V", 0, "b"))) == 1.0
+
+
+def test_rehosting_into_a_space_that_drops_a_mode_still_raises():
+    st = TwoPhotonState(SPACE, {(BasisMode("H", 2, "a"), BasisMode("V", 0, "b")): 1.0})
+    with pytest.raises(OamOverflow):
+        st.with_space(ModeSpace(lmax=1, paths=("a", "b", "zz")))
+    with pytest.raises(UnknownPath):
+        st.with_space(ModeSpace(lmax=4, paths=("a", "zz")))
+    # a larger lmax with the paths reordered still contains every mode
+    moved = st.with_space(ModeSpace(lmax=4, paths=("b", "zz", "a")))
+    assert moved.amplitudes == st.amplitudes and moved.space.lmax == 4
