@@ -22,7 +22,15 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import Circuit, builtin_document, parse_circuit
-from .engine import Plan, assemble, compile_circuit, propagate, propagate_with_checkpoints, restrict_to_circuit
+from .engine import (
+    DEFAULT_ORIGINS,
+    Plan,
+    assemble,
+    compile_circuit,
+    propagate,
+    propagate_with_checkpoints,
+    restrict_to_circuit,
+)
 from .errors import MalformedPattern, ZeroNorm
 from .measurement import (
     CoincidencePattern,
@@ -34,6 +42,7 @@ from .measurement import (
 from .state import (
     POL_H,
     POL_V,
+    POLARIZATIONS,
     BasisMode,
     ModeSpace,
     TwoPhotonState,
@@ -67,8 +76,6 @@ BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 
 ORACLE_SEED = 0xB5A
 
-_SQRT2 = math.sqrt(2.0)
-
 # -- classification table (frozen data) ---------------------------------
 #
 # Each row is ((oam_sign_A, pol_A), (oam_sign_B, pol_B)).  The plus-family
@@ -98,8 +105,11 @@ _ROWS_MINUS = (
     ((-1, POL_V), (-1, POL_H)),
 )
 
-_STRAIGHT = (("a1", "a2"), ("b1", "b2"))
-_CROSS = (("a1", "b2"), ("b1", "a2"))
+_ORIGINS_A, _ORIGINS_B = DEFAULT_ORIGINS["A"], DEFAULT_ORIGINS["B"]
+_STRAIGHT = tuple(zip(_ORIGINS_A, _ORIGINS_B))
+_CROSS = tuple(zip(_ORIGINS_A, reversed(_ORIGINS_B)))
+#: all 64 coincidence patterns, in canonical order
+_PATTERNS = enumerate_patterns(_ORIGINS_A, _ORIGINS_B)
 
 _TABLE_GROUPS = {
     "phi+": (_ROWS_PLUS, _STRAIGHT),
@@ -134,8 +144,7 @@ def _validate_table() -> None:
         per_label[label] += 1
     if any(count != 16 for count in per_label.values()):
         raise AssertionError(f"uneven classification table: {per_label}")
-    full = set(enumerate_patterns(("a1", "b1"), ("a2", "b2")))
-    if set(CLASSIFICATION_TABLE) != full:
+    if set(CLASSIFICATION_TABLE) != set(_PATTERNS):
         raise AssertionError("classification table does not cover the detector set")
 
 
@@ -147,7 +156,7 @@ def classification_rows(
 ) -> list[tuple[CoincidencePattern, str]]:
     """(pattern, label) pairs in canonical pattern order."""
     table = CLASSIFICATION_TABLE if table is None else table
-    return [(p, table[p]) for p in enumerate_patterns(("a1", "b1"), ("a2", "b2"))]
+    return [(p, table[p]) for p in _PATTERNS]
 
 
 def classify(
@@ -186,7 +195,7 @@ def tamper_table(
     cyclically, so verification must report a single misclassification.
     """
     table = dict(CLASSIFICATION_TABLE if table is None else table)
-    first = enumerate_patterns(("a1", "b1"), ("a2", "b2"))[0]
+    first = _PATTERNS[0]
     old = table[first]
     table[first] = BELL_LABELS[(BELL_LABELS.index(old) + 1) % len(BELL_LABELS)]
     return table
@@ -198,14 +207,6 @@ def tamper_table(
 @lru_cache(maxsize=1)
 def default_circuit() -> Circuit:
     return parse_circuit(builtin_document("fig2"))
-
-
-_INPUT_POL_TERMS = {
-    "phi+": ((POL_H, POL_H, 1.0), (POL_V, POL_V, 1.0)),
-    "phi-": ((POL_H, POL_H, 1.0), (POL_V, POL_V, -1.0)),
-    "psi+": ((POL_H, POL_V, 1.0), (POL_V, POL_H, 1.0)),
-    "psi-": ((POL_H, POL_V, 1.0), (POL_V, POL_H, -1.0)),
-}
 
 
 def _check_label(label: str) -> None:
@@ -221,18 +222,22 @@ def prepare_input(label: str, space: ModeSpace | None = None) -> TwoPhotonState:
     """
     _check_label(label)
     space = default_circuit().space() if space is None else space
-    amps: dict = {}
-    for pol_a, pol_b, sign in _INPUT_POL_TERMS[label]:
-        for x, y in _STRAIGHT:
-            amps[(BasisMode(pol_a, 0, x), BasisMode(pol_b, 0, y))] = sign * 0.5
-    return TwoPhotonState(space, amps)
+    return _reference_state(space, "straight", _INPUT_TERMS[label])
 
 
-# Reference states after each stage family of the analyzer circuit, as
-# (sign, pol_A, l_A, pol_B, l_B) terms over a straight or crossed path
-# factor.  These are fixed expectations, not recomputed.
+# The Bell inputs, and the reference states after each stage family of
+# the analyzer circuit, as (sign, pol_A, l_A, pol_B, l_B) terms over a
+# straight or crossed path factor.  These are fixed expectations, not
+# recomputed.
 
 _H, _V = POL_H, POL_V
+
+_INPUT_TERMS = {
+    "phi+": ((+1, _H, 0, _H, 0), (+1, _V, 0, _V, 0)),
+    "phi-": ((+1, _H, 0, _H, 0), (-1, _V, 0, _V, 0)),
+    "psi+": ((+1, _H, 0, _V, 0), (+1, _V, 0, _H, 0)),
+    "psi-": ((+1, _H, 0, _V, 0), (-1, _V, 0, _H, 0)),
+}
 
 _STAGE_TERMS: dict[str, dict[str, tuple[str, tuple]]] = {
     "p_cos": {
@@ -335,7 +340,7 @@ _FACTOR_PAIRS = {"straight": _STRAIGHT, "cross": _CROSS}
 
 
 def _reference_state(space: ModeSpace, factor: str, terms: tuple) -> TwoPhotonState:
-    coef = 1.0 / (_SQRT2 * math.sqrt(len(terms)))
+    coef = 1.0 / math.sqrt(2 * len(terms))
     amps: dict = {}
     for sign, pol_a, l_a, pol_b, l_b in terms:
         for x, y in _FACTOR_PAIRS[factor]:
@@ -394,12 +399,8 @@ def stage_states(
 # -- end-to-end analysis ------------------------------------------------
 
 
-def _measurement_impl(plan: Plan, impl: str | None) -> str:
-    if impl is not None:
-        return impl
-    if any(v == "decomposed" for v in plan.sppm_impl.values()):
-        return "decomposed"
-    return "canonical"
+def _measurement_impl(plan: Plan) -> str:
+    return "decomposed" if "decomposed" in plan.sppm_impl.values() else "canonical"
 
 
 def analyze(
@@ -415,14 +416,12 @@ def analyze_state(
 ) -> OutcomeDistribution:
     """Outcome distribution for an arbitrary prepared input state."""
     circuit = default_circuit() if circuit is None else circuit
-    return _distribution(compile_circuit(circuit, impl), state, impl)
+    return _distribution(compile_circuit(circuit, impl), state)
 
 
-def _distribution(plan: Plan, state: TwoPhotonState, impl: str | None) -> OutcomeDistribution:
+def _distribution(plan: Plan, state: TwoPhotonState) -> OutcomeDistribution:
     out = propagate(plan, state)
-    return sppm_project(
-        out, plan.origins["A"], plan.origins["B"], _measurement_impl(plan, impl)
-    )
+    return sppm_project(out, plan.origins["A"], plan.origins["B"], _measurement_impl(plan))
 
 
 # -- verification -------------------------------------------------------
@@ -514,7 +513,7 @@ def verify(
     rows = []
     supports: dict[str, set[CoincidencePattern]] = {}
     for label in BELL_LABELS:
-        dist = _distribution(plan, prepare_input(label, circuit.space()), impl)
+        dist = _distribution(plan, prepare_input(label, circuit.space()))
         support = dist.support()
         supports[label] = set(support)
         success = 0.0
@@ -578,22 +577,18 @@ class OracleReport:
         }
 
 
-def _input_sector_modes() -> list[tuple[BasisMode, BasisMode]]:
-    pairs = []
-    for x in ("a1", "b1"):
-        for y in ("a2", "b2"):
-            for pol_a in (POL_H, POL_V):
-                for pol_b in (POL_H, POL_V):
-                    pairs.append((BasisMode(pol_a, 0, x), BasisMode(pol_b, 0, y)))
-    return pairs
-
-
 def random_input_states(
     n: int, seed: int = ORACLE_SEED, space: ModeSpace | None = None
 ) -> list[TwoPhotonState]:
     """Random unit vectors in the l=0 input sector the analyzer accepts."""
     space = default_circuit().space() if space is None else space
-    sector = _input_sector_modes()
+    sector = [
+        (BasisMode(pol_a, 0, x), BasisMode(pol_b, 0, y))
+        for x in _ORIGINS_A
+        for y in _ORIGINS_B
+        for pol_a in POLARIZATIONS
+        for pol_b in POLARIZATIONS
+    ]
     rng = np.random.default_rng(seed)
     states = []
     for _ in range(n):
@@ -626,7 +621,7 @@ def oracle_check(
     inputs = [prepare_input(label, circuit.space()) for label in BELL_LABELS]
     inputs.extend(random_input_states(n_random, seed, circuit.space()))
 
-    meas_impl = _measurement_impl(plan, impl)
+    meas_impl = _measurement_impl(plan)
     worst_state = 0.0
     worst_tvd = 0.0
     for state in inputs:

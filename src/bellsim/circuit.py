@@ -54,6 +54,7 @@ __all__ = [
     "FIG2_NAME",
 ]
 
+#: the two photons every circuit carries, in print order
 PHOTONS = ("A", "B")
 
 #: scoped path label for the decomposed OAM-Hadamard interferometer;
@@ -98,7 +99,6 @@ class Circuit:
     lmax: int
     paths: tuple[str, ...]
     stages: tuple[Stage, ...]
-    photons: tuple[str, str] = PHOTONS
     description: tuple[str, ...] = ()
 
     def space(self) -> ModeSpace:
@@ -496,7 +496,7 @@ def print_circuit(circuit: Circuit) -> str:
     for line in circuit.description:
         out.append(f"# {line}" if line else "#")
     out.append(f"lmax {circuit.lmax}")
-    for photon in circuit.photons:
+    for photon in PHOTONS:
         out.append(f"photon {photon}")
     if circuit.paths:
         out.append("paths " + " ".join(circuit.paths))

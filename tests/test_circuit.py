@@ -58,7 +58,6 @@ def test_printer_is_idempotent():
 def test_defaults():
     circuit = parse_circuit("paths a\nstage qwp photon=A paths=a\n")
     assert circuit.lmax == 4
-    assert circuit.photons == ("A", "B")
     assert circuit.description == ()
 
 

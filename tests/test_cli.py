@@ -158,6 +158,45 @@ def test_describe_flags_decomposed_router_overflow(capsys):
     )
 
 
+def test_describe_json(capsys, tmp_path):
+    code, out, err = run_cli(capsys, ["describe", "--format", "json"])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert set(payload) == {"canonical", "issues", "ok"} and payload["ok"] is True
+    text = (GOLDEN / "describe_fig2.txt").read_text()
+    canonical, validation = text.split("-- validation --\n")
+    assert payload["canonical"] == canonical
+    assert [f"{i['severity']}: stage {i['stage']}: {i['message']}" for i in payload["issues"]] == (
+        validation.splitlines()
+    )
+    # a path note belongs to no stage
+    path = tmp_path / "spare.circ"
+    path.write_text(canonical.replace("paths a1 a2 b1 b2", "paths a1 a2 b1 b2 spare"))
+    code, out, _ = run_cli(capsys, ["describe", "--format", "json", "--circuit", str(path)])
+    assert code == 0
+    notes = [i for i in json.loads(out)["issues"] if i["stage"] is None]
+    assert notes == [
+        {"severity": "note", "stage": None, "message": "path 'spare' is declared but not used by any stage"}
+    ]
+
+
+def test_describe_json_reports_decomposed_router_overflow(capsys):
+    code, out, _ = run_cli(capsys, ["describe", "--format", "json", "--lmax", "1"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert any(
+        i["severity"] == "error" and i["stage"] == 3 and i["message"].endswith("(decomposed only)")
+        for i in payload["issues"]
+    )
+
+
+def test_describe_lmax_zero_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, ["describe", "--lmax", "0"])
+    assert code == 2 and out == ""
+    assert err == "error: --lmax must be >= 1\n"
+
+
 def test_run_unmeasurable_state_fails(capsys):
     # the all-sppm fixture measures the untouched input, whose l=0
     # components no sorter can resolve

@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bellsim import engine
-from bellsim.circuit import STAGE_KINDS, Circuit, Stage, builtin_document, parse_circuit
+from bellsim.circuit import PHOTONS, STAGE_KINDS, Circuit, Stage, builtin_document, parse_circuit
 from bellsim.elements import ACTIONS, apply_column
 from bellsim.analyzer import BELL_LABELS, prepare_input
 from bellsim.engine import (
@@ -104,6 +104,13 @@ def test_origin_fallback_without_measurement_stages():
     )
     plan = compile_circuit(circuit)
     assert plan.origins == {"A": ("a1", "b1"), "B": ("a2", "b2")}
+
+
+@pytest.mark.parametrize("impl", [None, "canonical", "decomposed"])
+def test_fallback_origins_take_the_impl_override(impl):
+    circuit = parse_circuit("paths a1 a2 b1 b2\nstage qwp photon=A paths=a1\n")
+    plan = compile_circuit(circuit, impl)
+    assert plan.sppm_impl == dict.fromkeys(("a1", "b1", "a2", "b2"), impl or "canonical")
 
 
 def test_explicit_origins_respected():
@@ -207,11 +214,6 @@ def test_user_column_past_lmax_raises():
 
     with pytest.raises(OamOverflow):
         apply_column_to_photon(_h0_pair(), "A", column)
-
-
-def test_identity_column_returns_the_input_object():
-    st = _h0_pair()
-    assert apply_column_to_photon(st, "A", lambda m: [(m, 1.0 + 0.0j)]) is st
 
 
 @pytest.mark.parametrize("impl", ["canonical", "decomposed"])
@@ -347,6 +349,19 @@ def test_raising_push_without_cancellation_raises_the_op_by_op_error():
         assert str(info.value) == text
 
 
+def test_undeclared_mode_that_cancels_within_a_column_is_dropped_by_fold_and_push():
+    ghost = BasisMode("H", 0, "nowhere")
+
+    def column(mode):
+        return [(mode, 1.0 + 0.0j), (ghost, 0.5 + 0.0j), (ghost, -0.5 + 0.0j)]
+
+    state = TwoPhotonState(_HAND_SPACE, {(_H0X, _H0Y): 0.6 + 0.0j, (_V0X, _H0Y): 0.8j})
+    _assert_close(apply_column_to_photon(state, "A", column), state)
+    plan = _hand_plan(column)
+    _assert_close(propagate(plan, state), state)
+    assert plan._images["A", _H0X] is not None  # the push did not raise either
+
+
 def test_second_state_on_the_same_modes_makes_no_column_calls():
     calls = []
 
@@ -436,8 +451,8 @@ def _reference_matrices(plan):
     invalid on OamOverflow, the identity column on UnsortableOam."""
     modes = plan.space.modes()
     dim = len(modes)
-    mats = {p: np.eye(dim, dtype=complex) for p in plan.circuit.photons}
-    valids = {p: np.ones(dim, dtype=bool) for p in plan.circuit.photons}
+    mats = {p: np.eye(dim, dtype=complex) for p in PHOTONS}
+    valids = {p: np.ones(dim, dtype=bool) for p in PHOTONS}
     for cs in plan.stages:
         for op in cs.ops:
             mat = np.zeros((dim, dim), dtype=complex)

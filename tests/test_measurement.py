@@ -1,10 +1,14 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from bellsim import measurement
+from bellsim.analyzer import analyze
+from bellsim.circuit import builtin_document, parse_circuit
+from bellsim.engine import compile_circuit
 from bellsim.errors import CalibrationFailure, LeakedAmplitude, MalformedPattern, UnsortableOam
 from bellsim.measurement import (
     CoincidencePattern,
@@ -255,3 +259,13 @@ def test_every_measured_origin_is_calibrated_not_only_the_touched_ones(monkeypat
     st = TwoPhotonState(SPACE, {_pair(1, "H", "a1", -1, "V", "a2"): 1.0})
     with pytest.raises(CalibrationFailure, match="deviates from direct readout"):
         sppm_project(st, ("a1", "b1"), ("a2", "b2"), impl="decomposed")
+
+
+def test_sppm_stages_pick_the_readout_impl_when_none_is_forced(monkeypatch, fresh_routes):
+    text = builtin_document("fig2")
+    circuit = parse_circuit(re.sub(r"^(stage sppm .*)$", r"\1 impl=decomposed", text, flags=re.M))
+    assert set(compile_circuit(circuit).sppm_impl.values()) == {"decomposed"}
+    monkeypatch.setattr(measurement, "_port_map", _swapped_port_map(measurement._port_map))
+    with pytest.raises(CalibrationFailure, match="deviates from direct readout"):
+        analyze("phi+", None, circuit)
+    assert analyze("phi+", "canonical", circuit).probs == analyze("phi+").probs
