@@ -4,8 +4,9 @@ The router is the one genuinely interferometric block in the analyzer:
 two beam splitters enclosing parity prisms, dressed with spiral plates
 so that OAM +1 stays on its path and OAM -1 crosses over.  This script
 walks a basis photon through the element sequence group by group and
-prints the state after each group, then shows the solved calibration
-phases that make the composite land exactly on the canonical gate.
+prints the state after each group.  The last group holds the stated
+calibration phase plates that make the composite land exactly on the
+canonical gate; the script ends by measuring how exactly.
 """
 
 from bellsim import (
@@ -31,7 +32,7 @@ def walk(pol, oam, path):
         terms = ", ".join(
             f"{amp:+.3f} {mode}" for mode, amp in state.items_sorted()
         )
-        print(f"  after {name:<22} {terms}")
+        print(f"  after {name:<24} {terms}")
     print()
     return state
 
@@ -48,11 +49,13 @@ def main():
     print("undo the temporary OAM shifts and clean up phases.\n")
 
     print("== calibration ==")
-    elements, phases = path_router_decomposition("a", "b", SPACE)
-    print("Solved per-(path, OAM) corrections appended to the sequence:")
-    for (path, oam), phi in sorted(phases.items()):
-        print(f"  path {path}, l={oam:+d}:  phase {phi:+.6f} rad")
+    name, plates = path_router_stage_groups("a", "b")[-1]
+    print(f"The {name}, the last group of the sequence:")
+    for plate in plates:
+        print(f"  {plate.describe()}")
     print()
+
+    elements = path_router_decomposition("a", "b")
 
     worst = 0.0
     for path in ("a", "b"):

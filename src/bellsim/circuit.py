@@ -176,8 +176,7 @@ def _build_o_cps(stage: Stage, impl: str, space: ModeSpace):
     if impl == "canonical":
         column = el.element_column(el.oam_sorter(*stage.paths), space)
         return [CompiledOp("o_cps", column)], _SIGN_NOTE
-    elements, _phases = gates.path_router_decomposition(*stage.paths, space)
-    return _element_ops(elements, space), _SIGN_NOTE
+    return _element_ops(gates.path_router_decomposition(*stage.paths), space), _SIGN_NOTE
 
 
 def _build_oh(stage: Stage, impl: str, space: ModeSpace):

@@ -113,9 +113,12 @@ def compile_circuit(circuit: Circuit, impl_override: str | None = None) -> Plan:
 
     ``impl_override`` forces canonical or decomposed forms for all
     composite stages and for the default origins' readout when no ``sppm``
-    stage names any; primitive stages are unaffected.  Router calibration
-    for decomposed ``o_cps`` stages runs here, so a calibration problem
-    surfaces at compile time with the stage named.
+    stage names any; primitive stages are unaffected.  Compiling only
+    wraps columns: no light is pushed through the ops here.
+
+    Raises:
+        ValueError: a bad override, or a stage whose photon is not in
+            ``PHOTONS`` (only a circuit built in code can have one).
     """
     impls, space, ancilla = _resolve(circuit, impl_override)
     compiled: list[CompiledStage] = []
@@ -124,6 +127,8 @@ def compile_circuit(circuit: Circuit, impl_override: str | None = None) -> Plan:
     for idx, (stage, impl) in enumerate(zip(circuit.stages, impls)):
         build = STAGE_KINDS[stage.kind].build
         label = stage.header()
+        if stage.photon not in PHOTONS:
+            raise ValueError(f"stage {idx + 1} ({label}): photon {stage.photon!r} is not declared")
         if build is None:
             origins[stage.photon].append(stage.paths[0])
             sppm_impl[stage.paths[0]] = impl

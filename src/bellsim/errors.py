@@ -69,7 +69,7 @@ class LeakedAmplitude(BellSimError):
 
 
 class CalibrationFailure(BellSimError):
-    """Calibration phases could not be solved, or a sorter block misroutes a mode."""
+    """A sorter block of the decomposed readout misroutes a (pol, l=+1/-1) mode."""
 
 
 class DimensionCap(BellSimError):

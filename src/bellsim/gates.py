@@ -3,8 +3,10 @@
 Architecture: each gate has a *canonical* action (an exact sparse truth
 table, used by default everywhere) and an *element decomposition* (wave
 plates, prisms, beam splitters) that must reproduce the canonical action.
-Calibration phase plates inside decompositions are explicit named elements,
-solved once at construction and recorded, never hidden constants.
+Calibration phase plates inside decompositions are explicit elements with
+stated values, never hidden constants. The contract is checked, not solved:
+tier-1 ``gate_equiv`` proves each decomposition equals its canonical gate
+within 1e-12, with global scale 1.
 
 Gates:
 
@@ -36,7 +38,6 @@ from .elements import (
     apply_elements,
     bs,
     dp,
-    element_column,
     hwp,
     mirror,
     oam_sorter,
@@ -46,12 +47,10 @@ from .elements import (
     qwp,
     spp,
 )
-from .errors import CalibrationFailure
 from .state import (
     _INV_SQRT2,
     POL_H,
     POL_V,
-    POLARIZATIONS,
     BasisMode,
     ModeSpace,
     PhotonState,
@@ -121,14 +120,16 @@ def pol_shift_decomposition(q: Union[Fraction, float, int], paths: Union[str, It
 
 
 def path_router_stage_groups(path_a: str, path_b: str) -> list[tuple[str, list[Element]]]:
-    """Uncalibrated router decomposition, grouped for walkthroughs.
+    """Router decomposition, grouped for walkthroughs.
 
     A two-path interferometer: spiral plates lift l=+1/-1 to +2/0, the
     +2 component acquires a relative pi between the arms (one dove prism
     rotated by pi/4 against the other) so the second beam splitter routes
     +2 to one port and 0 to the other, and output spiral plates restore
     l=+1/-1. Each arm holds one dove prism followed by one mirror so the
-    net arm action preserves l.
+    net arm action preserves l. The final calibration phase plates remove
+    the phase each output (path, OAM) sector is left with; (b, +1) is
+    left with none.
     """
     a, b = path_a, path_b
     return [
@@ -139,90 +140,16 @@ def path_router_stage_groups(path_a: str, path_b: str) -> list[tuple[str, list[E
         ("arm mirrors", [mirror(a), mirror(b)]),
         ("second beam splitter", [bs(a, b)]),
         ("output spiral plates", [spp(-1, a), spp(-1, b)]),
+        (
+            "calibration phase plates",
+            [pp(-math.pi / 2, a, oam=-1), pp(-math.pi, a, oam=1), pp(-math.pi / 2, b, oam=-1)],
+        ),
     ]
 
 
-def _router_probe_modes(path_a: str, path_b: str, space: ModeSpace) -> list[BasisMode]:
-    return [
-        BasisMode(pol, oam, path)
-        for path in (path_a, path_b)
-        for oam in (1, -1)
-        for pol in POLARIZATIONS
-    ]
-
-
-def solve_calibration(
-    elements: Sequence[Element],
-    canonical: ColumnFn,
-    probe_modes: Sequence[BasisMode],
-    space: ModeSpace,
-) -> dict[tuple[str, int], float]:
-    """Solve per-(path, OAM) phase plates making a decomposition exact.
-
-    Runs every probe basis mode through the element sequence, requires the
-    result to be a single basis mode matching the canonical routing, and
-    returns the phase each output (path, OAM) sector must receive. The two
-    polarizations must agree on that phase.
-
-    Raises:
-        CalibrationFailure: output not monomial, routed to the wrong mode,
-            or phases inconsistent between polarizations.
-    """
-    needed: dict[tuple[str, int], float] = {}
-    for mode in probe_modes:
-        probe = basis_state(space, *mode)
-        out = apply_elements(probe, elements)
-        if len(out.amplitudes) != 1:
-            raise CalibrationFailure(
-                f"decomposition output for {mode} is not a single mode "
-                f"({len(out.amplitudes)} components); cannot calibrate with phases"
-            )
-        (out_mode, out_amp), = out.amplitudes.items()
-        targets = canonical(mode)
-        if len(targets) != 1:
-            raise CalibrationFailure("canonical contract is not monomial on probe")
-        target_mode, target_amp = targets[0]
-        if out_mode != target_mode:
-            raise CalibrationFailure(
-                f"decomposition routes {mode} to {out_mode}, canonical expects {target_mode}"
-            )
-        ratio = target_amp / out_amp
-        if abs(abs(ratio) - 1.0) > 1e-9:
-            raise CalibrationFailure(f"non-unit amplitude ratio {ratio} for {mode}")
-        phase = cmath.phase(ratio)
-        key = (out_mode.path, out_mode.oam)
-        if key in needed:
-            if abs(cmath.exp(1j * needed[key]) - cmath.exp(1j * phase)) > 1e-9:
-                raise CalibrationFailure(
-                    f"inconsistent calibration for sector {key}: "
-                    f"{needed[key]} vs {phase}"
-                )
-        else:
-            needed[key] = phase
-    return needed
-
-
-def path_router_decomposition(
-    path_a: str, path_b: str, space: ModeSpace
-) -> tuple[list[Element], dict[tuple[str, int], float]]:
-    """Full element decomposition of the router, calibration included.
-
-    Returns:
-        (elements, calibration): the ordered element list and the solved
-        phase per output (path, OAM) sector (for the gate description).
-    """
-    base: list[Element] = []
-    for _, els in path_router_stage_groups(path_a, path_b):
-        base.extend(els)
-    canonical = element_column(oam_sorter(path_a, path_b), space)
-    probes = _router_probe_modes(path_a, path_b, space)
-    phases = solve_calibration(base, canonical, probes, space)
-    plates = [
-        pp(phase, path, oam=oam)
-        for (path, oam), phase in sorted(phases.items())
-        if abs(cmath.exp(1j * phase) - 1.0) > 1e-12
-    ]
-    return base + plates, phases
+def path_router_decomposition(path_a: str, path_b: str) -> list[Element]:
+    """Full element decomposition of the router: its stage groups, flattened."""
+    return [e for _, els in path_router_stage_groups(path_a, path_b) for e in els]
 
 
 def oam_hadamard_decomposition(path: str, ancilla: str) -> list[Element]:

@@ -141,10 +141,10 @@ class OutcomeDistribution:
 
     def tvd(self, other: "OutcomeDistribution") -> float:
         """Total variation distance to another distribution."""
-        keys = set(self.probs) | set(other.probs)
-        return 0.5 * sum(
-            abs(self.probs.get(k, 0.0) - other.probs.get(k, 0.0)) for k in keys
-        )
+        # summed in dict order: a set union of the keys would order by string hashes
+        ps, qs = self.probs, other.probs
+        only_other = sum(q for k, q in qs.items() if k not in ps)
+        return 0.5 * (sum(abs(p - qs.get(k, 0.0)) for k, p in ps.items()) + only_other)
 
     def to_text(self) -> str:
         return "".join(f"{pattern}  {p:.12g}\n" for pattern, p in self.items_ordered())

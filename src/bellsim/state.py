@@ -274,8 +274,9 @@ def _check_comparable(x: State, y: State) -> None:
 
 
 def _overlap(x: State, y: State) -> complex:
-    shared = x.amplitudes.keys() & y.amplitudes.keys()
-    return sum((x.amplitudes[m].conjugate() * y.amplitudes[m] for m in shared), 0.0 + 0.0j)
+    # summed in x's dict order: a set of shared keys would order by string hashes
+    ys = y.amplitudes
+    return sum((a.conjugate() * ys[m] for m, a in x.amplitudes.items() if m in ys), 0.0 + 0.0j)
 
 
 def fidelity(x: State, y: State) -> float:

@@ -202,10 +202,9 @@ def test_acceptance_5_decompositions():
         )
         assert rep.equivalent and abs(rep.scale - 1.0) < EXACT, str(rep)
 
-        elements, _ = path_router_decomposition("a", "b", space)
         rep = gate_equiv(
             lambda s: apply_element(s, oam_sorter("a", "b")),
-            seq(elements),
+            seq(path_router_decomposition("a", "b")),
             space,
             sign_domain,
             tol=EXACT,

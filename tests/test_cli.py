@@ -7,7 +7,10 @@ are reproducible bit-for-bit.
 """
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +19,7 @@ from bellsim.cli import build_parser, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, argv):
@@ -278,3 +282,27 @@ def test_stages_with_an_orthogonal_checkpoint(capsys, tmp_path, impl):
     assert phases["oh"] is None and phases["hwp"] is None
     assert phases["p_cos"]["re"] == pytest.approx(1.0)
     assert payload["ok"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stages", "--input", "phi-", "--format", "json", "--impl", "decomposed"],
+        ["oracle", "--format", "json", "--impl", "decomposed", "--n-random", "5"],
+    ],
+    ids=["stages", "oracle"],
+)
+def test_output_does_not_depend_on_the_string_hash_seed(argv):
+    """Sums over sets of modes or patterns would follow PYTHONHASHSEED."""
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed)
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys; from bellsim.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]

@@ -98,6 +98,39 @@ def test_decomposed_plan_extends_space():
     assert sum(len(s.ops) for s in plan.stages) > 50
 
 
+def test_decomposed_router_plan_is_pinned_op_for_op():
+    """fig2's decomposed photon-A router: its 15 element ops, in order, with
+    their exact parameters (the calibration plates are the last three)."""
+    plan = compile_circuit(FIG2, impl_override="decomposed")
+    (router,) = [s for s in plan.stages if s.label == "o_cps photon=A paths=a1,b1"]
+    assert [op.label for op in router.ops] == [
+        "spp(l=1)@a1",
+        "spp(l=1)@b1",
+        "pp(phi=3.141592653589793)@a1",
+        "pp(phi=3.141592653589793)@b1",
+        "bs@a1,b1",
+        "dp(alpha=0.7853981633974483)@a1",
+        "dp(alpha=0.0)@b1",
+        "mirror@a1",
+        "mirror@b1",
+        "bs@a1,b1",
+        "spp(l=-1)@a1",
+        "spp(l=-1)@b1",
+        "pp(oam=-1 phi=-1.5707963267948966)@a1",
+        "pp(oam=1 phi=-3.141592653589793)@a1",
+        "pp(oam=-1 phi=-1.5707963267948966)@b1",
+    ]
+
+
+@pytest.mark.parametrize("kind", ["qwp", "sppm"])
+def test_compile_rejects_a_stage_on_an_undeclared_photon(kind):
+    """Only a circuit built in code can name photon C; compiling it names
+    the stage instead of dropping the op (qwp) or a bare KeyError (sppm)."""
+    circuit = dataclasses.replace(FIG2, stages=(*FIG2.stages[:2], Stage(kind, "C", ("a1",))))
+    with pytest.raises(ValueError, match=rf"^stage 3 \({kind} photon=C paths=a1\): photon 'C' is not declared$"):
+        compile_circuit(circuit)
+
+
 def test_origin_fallback_without_measurement_stages():
     circuit = parse_circuit(
         "paths a1 a2 b1 b2\nstage qwp photon=A paths=a1\n"

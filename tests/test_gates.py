@@ -2,8 +2,8 @@
 
 Every decomposition must reproduce its canonical gate column-for-column
 at 1e-12, up to one global unit scale (which turns out to be exactly 1
-for all three).  The solved router calibration phases are frozen here so
-a regression in the solver shows up as a value change, not just a pass.
+for all three).  The router's stated calibration plates are frozen here
+so a changed value shows up as a value change, not just a pass.
 """
 
 import cmath
@@ -17,10 +17,9 @@ from bellsim.elements import (
     apply_column,
     apply_element,
     apply_elements,
-    element_column,
     oam_sorter,
 )
-from bellsim.errors import CalibrationFailure, UnsortableOam
+from bellsim.errors import UnsortableOam
 from bellsim.gates import (
     gate_equiv,
     hadamard_row_report,
@@ -32,7 +31,6 @@ from bellsim.gates import (
     path_router_stage_groups,
     pol_shift_column,
     pol_shift_decomposition,
-    solve_calibration,
 )
 from bellsim.state import (
     BasisMode,
@@ -135,7 +133,8 @@ def test_pol_shift_decomposition_matches():
 
 
 def test_router_decomposition_matches():
-    elements, phases = path_router_decomposition("a", "b", SPACE)
+    elements = path_router_decomposition("a", "b")
+    assert elements == [e for _, els in path_router_stage_groups("a", "b") for e in els]
     report = gate_equiv(
         lambda s: apply_element(s, oam_sorter("a", "b")),
         _apply_seq(elements),
@@ -148,17 +147,24 @@ def test_router_decomposition_matches():
 
 
 def test_router_calibration_phases_frozen():
-    """Solved per-(path, OAM) correction phases, pinned as unit complexes."""
-    _, phases = path_router_decomposition("a", "b", SPACE)
+    """The stated calibration group, last in the router: one plate per
+    (path, OAM) sector that needs one, in order, with its exact float."""
+    name, plates = path_router_stage_groups("a", "b")[-1]
+    assert name == "calibration phase plates"
+    assert [e.describe() for e in plates] == [
+        "pp(oam=-1 phi=-1.5707963267948966)@a",
+        "pp(oam=1 phi=-3.141592653589793)@a",
+        "pp(oam=-1 phi=-1.5707963267948966)@b",
+    ]
+    phases = {(e.paths[0], e.params["oam"]): e.params["phi"] for e in plates}
     expect = {
-        ("a", 1): -1.0,  # e^{+-i pi}
+        ("a", 1): -1.0,  # e^{-i pi}
         ("a", -1): -1.0j,  # e^{-i pi/2}
-        ("b", 1): 1.0,
-        ("b", -1): -1.0j,
+        ("b", -1): -1.0j,  # (b, +1) needs no plate
     }
     assert set(phases) == set(expect)
     for key, ref in expect.items():
-        assert cmath.exp(1j * phases[key]) == pytest.approx(ref, abs=1e-9)
+        assert cmath.exp(1j * phases[key]) == pytest.approx(ref, abs=1e-15)
 
 
 def test_router_walkthrough_routes_components():
@@ -182,14 +188,21 @@ def test_router_walkthrough_routes_components():
             assert abs(abs(amp) - 1.0) < TOL
 
 
-def test_router_calibration_failure_on_wrong_elements():
+def test_router_without_arm_prisms_is_not_equivalent():
+    """Negative control for the router check: drop the arm Dove prisms and
+    the interferometer no longer routes cleanly, whatever the plates."""
     groups = path_router_stage_groups("a", "b")
-    # drop the arm prisms: the interferometer no longer routes cleanly
     broken = [e for name, els in groups if name != "arm dove prisms" for e in els]
-    with pytest.raises(CalibrationFailure):
-        solve_calibration(
-            broken, element_column(oam_sorter("a", "b"), SPACE), SIGN_DOMAIN, SPACE
-        )
+    assert not any(e.kind == "dp" for e in broken)
+    report = gate_equiv(
+        lambda s: apply_element(s, oam_sorter("a", "b")),
+        _apply_seq(broken),
+        SPACE,
+        SIGN_DOMAIN,
+        tol=TOL,
+    )
+    assert not report.equivalent
+    assert report.max_abs_diff > 0.1, str(report)
 
 
 def test_oam_hadamard_decomposition_matches():

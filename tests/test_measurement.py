@@ -109,6 +109,15 @@ def test_distribution_accessors():
     assert dist.tvd(dist) == 0.0
 
 
+def test_tvd_counts_the_keys_of_both_sides():
+    patterns = enumerate_patterns(("a1",), ("a2",))
+    first = OutcomeDistribution(("a1",), ("a2",), {patterns[0]: 0.5, patterns[1]: 0.5})
+    second = OutcomeDistribution(("a1",), ("a2",), {patterns[1]: 0.5, patterns[2]: 0.5})
+    assert first.tvd(second) == second.tvd(first) == 0.5
+    disjoint = OutcomeDistribution(("a1",), ("a2",), {patterns[2]: 1.0})
+    assert first.tvd(disjoint) == disjoint.tvd(first) == 1.0
+
+
 def test_distribution_text_format():
     dist = _uniform_dist()
     lines = dist.to_text().splitlines()
