@@ -8,10 +8,13 @@ declared by ``sppm`` stages, and checkpoint positions after the last
 stage of each kind.  ``validate`` walks the same operators over the
 modes the analyzer's inputs can reach, for every plan the CLI can run.
 ``propagate`` pushes each input mode through its photon's ops once per
-plan, caching the images on the plan, and builds each returned pair state
-by one contraction of the input with them.  If a push raised, the run is
-replayed op by op: that raises the error naming its stage and element, or
-returns the state if the joint amplitudes on the bad mode cancel.
+plan, caching the images on the plan as one transfer matrix per photon and
+stage count (a column per input mode, a row per output mode reached), and
+builds each returned pair state as one contraction ``M_A Psi M_B^T`` of the
+input amplitudes with them, in complex128, dropping amplitudes of
+magnitude <= 1e-15.  If a push raised, the run is replayed op by op: that
+raises the error naming its stage and element, or returns the state if
+the joint amplitudes on the bad mode cancel.
 ``assemble`` builds dense per-photon matrices for the same plan, one
 sparse row update per op from the op's nonzero entries, so the two
 evolutions can be cross-checked.
@@ -90,7 +93,9 @@ class Plan:
     origins: dict[str, tuple[str, ...]]
     sppm_impl: dict[str, str]  # origin path -> canonical | decomposed
     checkpoints: tuple[tuple[str, int], ...]  # (kind, compiled-stage count)
+    # (photon, input mode) -> its column in the photon's _Transfer, or None if its push raised
     _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _transfers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _resolve(circuit: Circuit, impl_override: str | None):
@@ -351,9 +356,39 @@ def _run(plan: Plan, state: TwoPhotonState) -> "list[TwoPhotonState]":
     return trace
 
 
-def _push(plan: Plan, photon: str, mode: BasisMode) -> "list[dict] | None":
-    """The mode's image {out_mode: coeff} after each stage count, each extending
-    the one before, cached on the plan by (photon, mode); None if the push raised."""
+class _Transfer:
+    """One photon's pushed input modes, each as its image after every stage
+    count, read as one matrix per count: column j is the j-th pushed mode's
+    image, and the rows are the output modes those images reach."""
+
+    def __init__(self) -> None:
+        self.columns: list[list[dict]] = []
+        self._built: dict[int, tuple[list[BasisMode], np.ndarray]] = {}
+
+    def add(self, images: list[dict]) -> int:
+        self.columns.append(images)
+        self._built.clear()  # every count's matrix grows by this column
+        return len(self.columns) - 1
+
+    def at(self, count: int) -> tuple[list[BasisMode], np.ndarray]:
+        """(row modes, matrix) after ``count`` stages, built once per growth."""
+        if count not in self._built:
+            rows: dict[BasisMode, int] = {}
+            r, c, v = [], [], []
+            for col, images in enumerate(self.columns):
+                for out, coeff in images[count].items():
+                    r.append(rows.setdefault(out, len(rows)))
+                    c.append(col)
+                    v.append(coeff)
+            mat = np.zeros((len(rows), len(self.columns)), dtype=np.complex128)
+            mat[r, c] = v
+            self._built[count] = (list(rows), mat)
+        return self._built[count]
+
+
+def _push(plan: Plan, photon: str, mode: BasisMode) -> "int | None":
+    """The input mode's column in its photon's transfer matrices, pushed through
+    the photon's ops on first use and cached on the plan; None if the push raised."""
     if (photon, mode) not in plan._images:
         single = PhotonState(plan.space, {mode: 1.0 + 0.0j})
         images = [single.amplitudes]
@@ -363,30 +398,43 @@ def _push(plan: Plan, photon: str, mode: BasisMode) -> "list[dict] | None":
                     single = apply_column(single, op.column)
                 images.append(single.amplitudes)
         except BellSimError:
-            images = None
-        plan._images[photon, mode] = images
+            plan._images[photon, mode] = None
+        else:
+            transfer = plan._transfers.setdefault(photon, _Transfer())
+            plan._images[photon, mode] = transfer.add(images)
     return plan._images[photon, mode]
 
 
 def _states(plan: Plan, state: TwoPhotonState, counts: tuple[int, ...]) -> "list[TwoPhotonState]":
-    """The state in the plan's space after the first ``count`` stages, for each count."""
+    """The state in the plan's space after the first ``count`` stages, for each
+    count: ``M_A Psi M_B^T`` on the columns of the state's own input modes."""
     if state.space != plan.space:
         state = state.with_space(plan.space)
-    images_a = {ma: _push(plan, "A", ma) for ma, _ in state.amplitudes}
-    images_b = {mb: _push(plan, "B", mb) for _, mb in state.amplitudes}
-    if None in images_a.values() or None in images_b.values():
+    pairs = state.amplitudes
+    # Psi's rows and columns follow the state's own mode order, not the plan's history
+    index = [{m: i for i, m in enumerate(dict.fromkeys(p[side] for p in pairs))} for side in (0, 1)]
+    cols = [[_push(plan, photon, m) for m in ix] for photon, ix in zip(PHOTONS, index)]
+    if None in cols[0] or None in cols[1]:
         trace = _run(plan, state)
         return [trace[count] for count in counts]
+    psi = np.zeros((len(cols[0]), len(cols[1])), dtype=np.complex128)
+    psi[[index[0][a] for a, _ in pairs], [index[1][b] for _, b in pairs]] = list(pairs.values())
+    ta, tb = (plan._transfers.get(photon) or _Transfer() for photon in PHOTONS)
     out = []
     for count in counts:
-        amps: dict = {}
-        for (ma, mb), amp in state.amplitudes.items():
-            image_b = images_b[mb][count]
-            for xa, ca in images_a[ma][count].items():
-                for xb, cb in image_b.items():
-                    amps[xa, xb] = amps.get((xa, xb), 0j) + amp * ca * cb
+        if not count:
+            out.append(state)
+            continue
+        (rows_a, mat_a), (rows_b, mat_b) = ta.at(count), tb.at(count)
+        joint = (mat_a[:, cols[0]] @ psi @ mat_b[:, cols[1]].T).tolist()
+        amps = {
+            (xa, xb): amp
+            for xa, row in zip(rows_a, joint)
+            for xb, amp in zip(rows_b, row)
+            if abs(amp) > DROP_EPS
+        }
         # every image mode was checked in the plan's space by its push
-        out.append(TwoPhotonState._trusted(plan.space, _clean(amps)) if count else state)
+        out.append(TwoPhotonState._trusted(plan.space, amps))
     return out
 
 

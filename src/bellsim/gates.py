@@ -240,7 +240,8 @@ def gate_equiv(
     worst = 0.0
     witness = ""
     for probe, sa, sb in zip(domain, cols_a, cols_b):
-        for mode in sa.amplitudes.keys() | sb.amplitudes.keys():
+        # sa's modes, then sb's extra ones: a set union would order by string hashes
+        for mode in {**sa.amplitudes, **sb.amplitudes}:
             diff = abs(sa.amplitude(mode) - scale * sb.amplitude(mode))
             if diff > worst:
                 worst = diff

@@ -8,7 +8,9 @@ origin).  Joint two-photon outcomes are coincidence patterns such as::
     D[+1,H,a1] & D[-1,V,b2]
 
 ``sppm_project`` reads every state by the Born rule, one pass over its
-mode amplitudes.  The ``decomposed`` impl first checks, once per origin,
+mode amplitudes through a (mode_A, mode_B) -> pattern table cached per
+pair of origin sets; only a pair missing from the table is checked, and
+named in the error.  The ``decomposed`` impl first checks, once per origin,
 that the explicit sorter elements send each (pol, l=+1/-1) mode to its
 own detector alone with a unit coefficient; the direct readout then
 equals the routed one on every state.
@@ -104,9 +106,24 @@ def enumerate_patterns(
     origins_a: Iterable[str], origins_b: Iterable[str]
 ) -> tuple[CoincidencePattern, ...]:
     """All coincidence patterns, photon A major, in canonical order."""
+    return _patterns(tuple(origins_a), tuple(origins_b))
+
+
+@lru_cache(maxsize=256)
+def _patterns(origins_a: tuple[str, ...], origins_b: tuple[str, ...]) -> tuple[CoincidencePattern, ...]:
     da = detectors_for_origins(origins_a)
     db = detectors_for_origins(origins_b)
     return tuple(CoincidencePattern(x, y) for x in da for y in db)
+
+
+@lru_cache(maxsize=256)
+def _pattern_table(origins_a: tuple[str, ...], origins_b: tuple[str, ...]) -> dict:
+    """(mode_A, mode_B) -> the pattern whose two detectors read that pair."""
+    return {
+        (BasisMode(p.det_a.pol, p.det_a.oam_sign, p.det_a.origin),
+         BasisMode(p.det_b.pol, p.det_b.oam_sign, p.det_b.origin)): p
+        for p in _patterns(origins_a, origins_b)
+    }
 
 
 @dataclass(frozen=True)
@@ -134,7 +151,7 @@ class OutcomeDistribution:
         return tuple(pattern for pattern, _ in self.items_ordered())
 
     def items_ordered(self):
-        for pattern in enumerate_patterns(self.origins_a, self.origins_b):
+        for pattern in _patterns(self.origins_a, self.origins_b):
             p = self.probs.get(pattern, 0.0)
             if p > PROBABILITY_TOL:
                 yield pattern, p
@@ -242,21 +259,27 @@ def sppm_project(
     elif impl != "canonical":
         raise ValueError(f"bad impl: {impl!r}")
     # a pair of modes maps to one pattern, and no two pairs to the same one
-    probs: dict[CoincidencePattern, float] = {}
-    for (ma, mb), amp in state.amplitudes.items():
-        for mode, origins, photon in ((ma, origins_a, "A"), (mb, origins_b, "B")):
-            if mode.path not in origins:
-                raise LeakedAmplitude(
-                    f"photon {photon} amplitude {amp:.3e} on path {mode.path!r}, "
-                    f"outside the measured origins {origins}"
-                )
-            if mode.oam not in SIGN_DOMAIN:
-                raise UnsortableOam(
-                    f"photon {photon} amplitude on l={mode.oam:+d} at {mode.path!r}; "
-                    "the sorter blocks only resolve l=+1/-1"
-                )
-        pattern = CoincidencePattern(
-            DetectorId(ma.oam, ma.pol, ma.path), DetectorId(mb.oam, mb.pol, mb.path)
-        )
-        probs[pattern] = abs(amp) ** 2
+    table = _pattern_table(origins_a, origins_b)
+    probs = {
+        table.get(pair) or _unlisted(pair, amp, origins_a, origins_b): abs(amp) ** 2
+        for pair, amp in state.amplitudes.items()
+    }
     return OutcomeDistribution(origins_a, origins_b, probs)
+
+
+def _unlisted(pair: tuple, amp: complex, origins_a: tuple, origins_b: tuple) -> CoincidencePattern:
+    """A mode pair that no pattern of the origins reads: raises the error of its
+    first photon outside the measured origins or the l=+1/-1 domain."""
+    for mode, origins, photon in zip(pair, (origins_a, origins_b), ("A", "B")):
+        if mode.path not in origins:
+            raise LeakedAmplitude(
+                f"photon {photon} amplitude {amp:.3e} on path {mode.path!r}, "
+                f"outside the measured origins {origins}"
+            )
+        if mode.oam not in SIGN_DOMAIN:
+            raise UnsortableOam(
+                f"photon {photon} amplitude on l={mode.oam:+d} at {mode.path!r}; "
+                "the sorter blocks only resolve l=+1/-1"
+            )
+    ma, mb = pair
+    return CoincidencePattern(DetectorId(ma.oam, ma.pol, ma.path), DetectorId(mb.oam, mb.pol, mb.path))

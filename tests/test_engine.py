@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from bellsim import engine
 from bellsim.circuit import PHOTONS, STAGE_KINDS, Circuit, Stage, builtin_document, parse_circuit
 from bellsim.elements import ACTIONS, apply_column
-from bellsim.analyzer import BELL_LABELS, prepare_input
+from bellsim.analyzer import BELL_LABELS, prepare_input, random_input_states
 from bellsim.engine import (
     ANCILLA_PATH,
     MAX_PHOTON_DIMENSION,
@@ -229,6 +229,20 @@ def test_restrict_raises_on_ancilla_light():
         restrict_to_circuit(plan, bad, "unit test")
 
 
+def test_ancilla_light_after_the_final_stage_names_where_it_was_found():
+    plan = compile_circuit(FIG2, "decomposed")
+    bell = prepare_input("phi+", SPACE)
+    amps = {pair: 0.8 * amp for pair, amp in bell.amplitudes.items()}
+    amps[BasisMode("H", 1, plan.ancilla), BasisMode("H", 0, "a2")] = 0.6 + 0.0j
+    state = TwoPhotonState(plan.space, amps)
+    with pytest.raises(LeakedAmplitude) as info:
+        propagate(plan, state)
+    assert str(info.value) == "after final stage: probability 3.600e-01 left on ancilla path _mzi"
+    with pytest.raises(LeakedAmplitude) as info:
+        propagate_with_checkpoints(plan, state)
+    assert str(info.value) == "checkpoint p_cos: probability 3.600e-01 left on ancilla path _mzi"
+
+
 def _h0_pair():
     return TwoPhotonState(SPACE, {(BasisMode("H", 0, "a1"), BasisMode("H", 0, "a2")): 1.0})
 
@@ -322,6 +336,49 @@ def test_propagation_matches_op_by_op_fold_on_sector_states(key, parts):
         plan.circuit.space(), {pair: a / norm for pair, a in zip(_SECTOR, amps) if a}
     )
     _assert_matches_fold(plan, state)
+
+
+@pytest.mark.parametrize("lmax", (4, 16))
+@pytest.mark.parametrize("impl", ("canonical", "decomposed"))
+def test_contraction_matches_op_by_op_replay_at_every_stage_count(impl, lmax):
+    """``_states`` contracts each input with the plan's transfer matrices, and
+    ``_run`` applies op after op: within 1e-15, on equal supports, at every count."""
+    plan = _FOLD_PLANS[lmax, impl]
+    space = plan.circuit.space()
+    inputs = [prepare_input(label, space) for label in BELL_LABELS]
+    inputs += random_input_states(200, 0xC0FFEE, space)
+    counts = tuple(range(len(plan.stages) + 1))
+    for state in inputs:
+        replay = engine._run(plan, state.with_space(plan.space))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_run", _no_replay)
+            got = engine._states(plan, state, counts)
+        assert len(got) == len(replay)
+        for at_count, want in zip(got, replay):
+            _assert_close(at_count, want)
+
+
+def test_transfer_matrices_grow_by_input_mode_not_by_state():
+    """Each (photon, count) matrix has one column per distinct input mode
+    pushed, however many states with different mode sets came before."""
+    plan = compile_circuit(FIG2, "decomposed")
+    modes = [BasisMode(pol, 0, path) for path in SPACE.paths for pol in ("H", "V")]
+    rng = np.random.default_rng(1000)
+    seen = {photon: set() for photon in PHOTONS}
+    counts = tuple(range(len(plan.stages) + 1))
+    for _ in range(1000):
+        picks = [rng.choice(len(modes), size=rng.integers(1, 4), replace=False) for _ in PHOTONS]
+        amps = {(modes[i], modes[j]): complex(*rng.standard_normal(2)) for i in picks[0] for j in picks[1]}
+        engine._states(plan, TwoPhotonState(SPACE, amps), counts)
+        for photon, pick in zip(PHOTONS, picks):
+            seen[photon].update(modes[i] for i in pick)
+    for photon in PHOTONS:
+        assert {m for p, m in plan._images if p == photon} == seen[photon]
+        transfer = plan._transfers[photon]
+        assert len(transfer.columns) == len(seen[photon])
+        for count in counts:
+            rows, mat = transfer.at(count)
+            assert mat.shape == (len(rows), len(seen[photon]))
 
 
 _HAND_SPACE = ModeSpace(2, ("x", "y"))

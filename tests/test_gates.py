@@ -8,6 +8,10 @@ so a changed value shows up as a value change, not just a pass.
 
 import cmath
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -280,3 +284,34 @@ def test_hadamard_rows_residual_phases_frozen():
     want = [1.0, -1.0j, 1.0, -1.0j]
     for g, w in zip(got, want):
         assert g == pytest.approx(w, abs=1e-9)
+
+
+_BROKEN_ROUTER_WITNESS = """
+from bellsim.elements import apply_element, apply_elements, oam_sorter
+from bellsim.gates import gate_equiv, path_router_stage_groups
+from bellsim.state import BasisMode, ModeSpace
+broken = [e for name, els in path_router_stage_groups("a", "b") if name != "arm dove prisms" for e in els]
+domain = [BasisMode(pol, oam, path) for path in ("a", "b") for oam in (1, -1) for pol in ("H", "V")]
+report = gate_equiv(
+    lambda s: apply_element(s, oam_sorter("a", "b")),
+    lambda s: apply_elements(s, broken),
+    ModeSpace(lmax=4, paths=("a", "b")),
+    domain,
+)
+print(report.max_abs_diff, report.witness)
+"""
+
+
+def test_gate_equiv_witness_does_not_depend_on_the_string_hash_seed():
+    """The witness is the first worst mode in dict order, whatever PYTHONHASHSEED is."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        result = subprocess.run(
+            [sys.executable, "-c", _BROKEN_ROUTER_WITNESS], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.add(result.stdout)
+    # sa's first mode already differs by the full 1.0, so it is the witness
+    assert outputs == {"1.0 |H,+1,a> -> |H,+1,a>\n"}, outputs

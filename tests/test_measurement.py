@@ -162,6 +162,42 @@ def test_projection_rejects_unsortable_oam():
         sppm_project(st, ("a1", "b1"), ("a2", "b2"))
 
 
+_GOOD = _pair(1, "H", "a1", 1, "H", "a2")
+_A_OFF = _pair(1, "H", "c", 1, "H", "a2")
+_B_OFF = _pair(1, "H", "a1", -1, "V", "d")
+_A_L0 = _pair(0, "H", "a1", 1, "H", "a2")
+_B_L0 = _pair(1, "V", "b1", 0, "V", "b2")
+_A_L0_B_OFF = _pair(0, "H", "a1", 1, "H", "d")
+_LEAK_A = "photon A amplitude {} on path 'c', outside the measured origins ('a1', 'b1')"
+_LEAK_B = "photon B amplitude {} on path 'd', outside the measured origins ('a2', 'b2')"
+_L0 = "photon {} amplitude on l=+0 at {!r}; the sorter blocks only resolve l=+1/-1"
+
+#: (pairs with amplitudes 0.6 then 0.8, error, text): the first pair in dict
+#: order that is out of reach is reported, photon A before photon B
+_READOUT_ERRORS = [
+    ([_A_OFF], LeakedAmplitude, _LEAK_A.format("6.000e-01+0.000e+00j")),
+    ([_GOOD, _B_OFF], LeakedAmplitude, _LEAK_B.format("8.000e-01+0.000e+00j")),
+    ([_A_L0], UnsortableOam, _L0.format("A", "a1")),
+    ([_GOOD, _B_L0], UnsortableOam, _L0.format("B", "b2")),
+    ([_A_L0_B_OFF], UnsortableOam, _L0.format("A", "a1")),
+    ([_B_OFF, _A_L0], LeakedAmplitude, _LEAK_B.format("6.000e-01+0.000e+00j")),
+]
+
+
+@pytest.mark.parametrize("impl", ["canonical", "decomposed"])
+@pytest.mark.parametrize(
+    "pairs,error,text",
+    _READOUT_ERRORS,
+    ids=["A-off", "B-off", "A-l0", "B-l0", "A-l0-before-B-off", "earlier-B-off"],
+)
+def test_readout_error_names_the_first_photon_out_of_reach(impl, pairs, error, text):
+    amps = dict(zip(pairs, (0.6 + 0.0j, 0.8 + 0.0j)))
+    with pytest.raises(error) as info:
+        sppm_project(TwoPhotonState(SPACE, amps), ("a1", "b1"), ("a2", "b2"), impl)
+    assert type(info.value) is error
+    assert str(info.value) == text
+
+
 def _random_measurable(rng):
     keys = [
         _pair(sa, pa, oa, sb, pb, ob)
