@@ -5,16 +5,16 @@ dense matrix oracle.
 :class:`Plan`: a flat list of single-photon column operators (canonical
 gate columns or their element decompositions), the measurement origins
 declared by ``sppm`` stages, and checkpoint positions after the last
-stage of each kind.  ``validate`` walks the same operators over the
-modes the analyzer's inputs can reach, for every plan the CLI can run.
-``propagate`` pushes each input mode through its photon's ops once per
-plan, caching the images on the plan as one transfer matrix per photon and
-stage count (a column per input mode, a row per output mode reached), and
-builds each returned pair state as one contraction ``M_A Psi M_B^T`` of the
-input amplitudes with them, in complex128, dropping amplitudes of
-magnitude <= 1e-15.  If a push raised, the run is replayed op by op: that
-raises the error naming its stage and element, or returns the state if
-the joint amplitudes on the bad mode cancel.
+stage of each kind.  ``propagate`` pushes each input mode through its
+photon's ops once per plan, caching the images on the plan as one transfer
+matrix per photon and stage count (a column per input mode, a row per
+output mode reached), and builds each returned pair state as one
+contraction ``M_A Psi M_B^T`` of the input amplitudes with them, in
+complex128, dropping amplitudes of magnitude <= 1e-15.  A push that raises
+is kept as a record of where it stopped, and the run is replayed op by op:
+that raises the error naming its stage and element, or returns the state
+if the joint amplitudes on the bad mode cancel.  ``validate`` compiles
+every plan the CLI can run and reads its issues off the same pushes.
 ``assemble`` builds dense per-photon matrices for the same plan, one
 sparse row update per op from the op's nonzero entries, so the two
 evolutions can be cross-checked.
@@ -27,6 +27,7 @@ per-photon dimension cap guards against accidentally huge spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -93,7 +94,7 @@ class Plan:
     origins: dict[str, tuple[str, ...]]
     sppm_impl: dict[str, str]  # origin path -> canonical | decomposed
     checkpoints: tuple[tuple[str, int], ...]  # (kind, compiled-stage count)
-    # (photon, input mode) -> its column in the photon's _Transfer, or None if its push raised
+    # (photon, input mode) -> its column in the photon's _Transfer, or the _Halt of a raising push
     _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _transfers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -135,8 +136,9 @@ def compile_circuit(circuit: Circuit, impl_override: str | None = None) -> Plan:
         if stage.photon not in PHOTONS:
             raise ValueError(f"stage {idx + 1} ({label}): photon {stage.photon!r} is not declared")
         if build is None:
-            origins[stage.photon].append(stage.paths[0])
-            sppm_impl[stage.paths[0]] = impl
+            if stage.paths[0] not in origins[stage.photon]:  # a repeated sppm counts once
+                origins[stage.photon].append(stage.paths[0])
+                sppm_impl[stage.paths[0]] = impl
             continue
         try:
             ops, note = build(stage, impl, space)
@@ -189,58 +191,43 @@ class ValidationReport:
         return "\n".join(str(i) for i in self.issues)
 
 
-def _walk(circuit: Circuit, impls: tuple[str, ...], space: ModeSpace, ancilla: str | None):
-    """Push the reachable modes of the l=0 input class through each stage's ops.
-
-    A mode a sign-domain column cannot take passes through unchanged, the
-    same identity fallback ``assemble`` uses.
-    """
+def _pushed_issues(circuit: Circuit, override: str | None) -> list[ValidationIssue]:
+    """One variant's issues, read off ``_push`` of every l=0 basis mode."""
+    try:
+        plan = compile_circuit(circuit, override)
+    except BellSimError as exc:  # raised as "stage N (label): <build message>"
+        return [ValidationIssue("error", int(str(exc).split()[1]) - 1, str(exc.__cause__))]
+    # (index, photon, position) per sppm stage: it receives the image after
+    # the compiled stages placed before it
+    marks = [
+        (idx, s.photon, sum(cs.index < idx for cs in plan.stages))
+        for idx, s in enumerate(circuit.stages)
+        if STAGE_KINDS[s.kind].build is None
+    ]
     issues: list[ValidationIssue] = []
-    reach = {
-        photon: {BasisMode(pol, 0, path) for path in circuit.paths for pol in POLARIZATIONS}
-        for photon in PHOTONS
-    }
-    for idx, (stage, impl) in enumerate(zip(circuit.stages, impls)):
-        spec = STAGE_KINDS[stage.kind]
-        modes = reach[stage.photon]
-        if spec.build is None:
-            bad = {m.oam for m in modes if m.path == stage.paths[0] and m.oam not in SIGN_DOMAIN}
-            ops = []
-        else:
-            bad = set()
-            try:
-                ops, _note = spec.build(stage, impl, space)
-            except BellSimError as exc:
-                issues.append(ValidationIssue("error", idx, str(exc)))
-                ops = []
-        for op in ops:
-            image = set()
-            for mode in modes:
-                try:
-                    image.update(m for m, c in op.column(mode) if abs(c) > DROP_EPS)
-                except UnsortableOam:
-                    bad.add(mode.oam)
-                    image.add(mode)
-                except BellSimError as exc:
-                    issues.append(ValidationIssue("error", idx, str(exc)))
-            modes = image
-        leaked = {m for m in modes if m.path == ancilla}
-        if leaked:
-            issues.append(
-                ValidationIssue("error", idx, f"{stage.kind} may leave light on ancilla path {ancilla}")
-            )
-        reach[stage.photon] = modes - leaked
-        if bad:
-            issues.append(
-                ValidationIssue(
-                    "warning",
-                    idx,
-                    f"{stage.kind} may receive OAM outside +1/-1 ({sorted(bad)}) "
-                    "for the reference inputs",
-                )
-            )
-        if spec.sign_domain and spec.build is not None:
-            issues.append(ValidationIssue("note", idx, f"{stage.kind} domain restricted to l=+1/-1"))
+    bad: dict[int, set[int]] = {}  # stage index -> OAMs outside l=+1/-1 it receives
+    for photon, path, pol in product(PHOTONS, circuit.paths, POLARIZATIONS):
+        pushed = _push(plan, photon, BasisMode(pol, 0, path))
+        halt = pushed if isinstance(pushed, _Halt) else None
+        images = halt.images if halt else plan._transfers[photon].columns[pushed]
+        received = [(idx, images[at]) for idx, p, at in marks if p == photon and at < len(images)]
+        if halt and isinstance(halt.exc, UnsortableOam):
+            received.append((halt.stage.index, halt.entering))
+        elif halt:
+            issues.append(ValidationIssue("error", halt.stage.index, str(halt.exc)))
+        for idx, amplitudes in received:
+            paths = circuit.stages[idx].paths
+            oams = {m.oam for m in amplitudes if m.path in paths and m.oam not in SIGN_DOMAIN}
+            if oams:
+                bad.setdefault(idx, set()).update(oams)
+        for cs, image in zip(plan.stages, images[1:]):
+            if cs.photon == photon and any(m.path == plan.ancilla for m in image):
+                message = f"{cs.kind} may leave light on ancilla path {plan.ancilla}"
+                issues.append(ValidationIssue("error", cs.index, message))
+                break
+    for idx, oams in bad.items():
+        message = f"{circuit.stages[idx].kind} may receive OAM outside +1/-1 ({sorted(oams)}) "
+        issues.append(ValidationIssue("warning", idx, message + "for the reference inputs"))
     return issues
 
 
@@ -248,14 +235,15 @@ def validate(circuit: Circuit) -> ValidationReport:
     """Static checks: placements, then every plan the CLI can run.
 
     The plans are the circuit as written and each impl override that
-    yields a different one.  Each is compiled stage by stage, and the set
-    of modes reachable from l=0, both polarizations, on every declared
-    path (the analyzer's input class) is pushed through the compiled ops'
-    own column functions.  A compile failure or ``OamOverflow`` is an
-    error, ``UnsortableOam`` a warning, and a mode left on the ancilla
-    path after a stage an error.  Identical issues are merged; one seen
-    under only some impls names them.  Never raises; problems are
-    returned as issues.
+    yields a different one.  Each is compiled, and each l=0 basis mode
+    (both polarizations, every declared path, both photons: the
+    analyzer's input class) is pushed through it by ``_push``, the same
+    push ``propagate`` reads, stopping at its first error.  A compile
+    failure or any push error other than ``UnsortableOam`` is an error;
+    ``UnsortableOam``, and OAM outside l=+1/-1 reaching an ``sppm`` path,
+    is a warning; light on the ancilla path after a stage is an error.
+    Identical issues are merged; one seen under only some impls names
+    them.  Never raises; problems are returned as issues.
     """
     issues: list[ValidationIssue] = []
     declared = set(circuit.paths)
@@ -280,27 +268,28 @@ def validate(circuit: Circuit) -> ValidationReport:
         for override in _IMPLS:
             variants.setdefault(_resolve(circuit, override), []).append(override)
         found: dict[ValidationIssue, list[str]] = {}
-        for resolved, overrides in variants.items():
+        for overrides in variants.values():
             name = " and ".join(o for o in overrides if o) or "as written"
-            for issue in dict.fromkeys(_walk(circuit, *resolved)):
+            for issue in dict.fromkeys(_pushed_issues(circuit, overrides[0])):
                 found.setdefault(issue, []).append(name)
         for issue, names in found.items():
             if len(names) < len(variants):
                 message = f"{issue.message} ({' and '.join(names)} only)"
                 issue = ValidationIssue(issue.severity, issue.stage_index, message)
             issues.append(issue)
+        issues += [
+            ValidationIssue("note", idx, f"{stage.kind} domain restricted to l=+1/-1")
+            for idx, stage in enumerate(circuit.stages)
+            if STAGE_KINDS[stage.kind].sign_domain and STAGE_KINDS[stage.kind].build is not None
+        ]
         issues.sort(key=lambda i: (i.stage_index, _SEVERITIES.index(i.severity)))
 
     used = {p for s in circuit.stages for p in s.paths}
-    for p in circuit.paths:
-        if p not in used:
-            issues.append(
-                ValidationIssue(
-                    "note",
-                    None,
-                    f"path {p!r} is declared but not used by any stage",
-                )
-            )
+    issues += [
+        ValidationIssue("note", None, f"path {p!r} is declared but not used by any stage")
+        for p in circuit.paths
+        if p not in used
+    ]
     return ValidationReport(tuple(issues))
 
 
@@ -386,9 +375,18 @@ class _Transfer:
         return self._built[count]
 
 
-def _push(plan: Plan, photon: str, mode: BasisMode) -> "int | None":
+class _Halt(NamedTuple):
+    """A raising push: its stage and error, images, and the op's input amplitudes."""
+
+    stage: CompiledStage
+    exc: BellSimError
+    images: list[dict]
+    entering: dict
+
+
+def _push(plan: Plan, photon: str, mode: BasisMode) -> "int | _Halt":
     """The input mode's column in its photon's transfer matrices, pushed through
-    the photon's ops on first use and cached on the plan; None if the push raised."""
+    the photon's ops on first use and cached on the plan; a _Halt if the push raised."""
     if (photon, mode) not in plan._images:
         single = PhotonState(plan.space, {mode: 1.0 + 0.0j})
         images = [single.amplitudes]
@@ -397,8 +395,8 @@ def _push(plan: Plan, photon: str, mode: BasisMode) -> "int | None":
                 for op in cs.ops if cs.photon == photon else ():
                     single = apply_column(single, op.column)
                 images.append(single.amplitudes)
-        except BellSimError:
-            plan._images[photon, mode] = None
+        except BellSimError as exc:
+            plan._images[photon, mode] = _Halt(cs, exc, images, single.amplitudes)
         else:
             transfer = plan._transfers.setdefault(photon, _Transfer())
             plan._images[photon, mode] = transfer.add(images)
@@ -414,7 +412,7 @@ def _states(plan: Plan, state: TwoPhotonState, counts: tuple[int, ...]) -> "list
     # Psi's rows and columns follow the state's own mode order, not the plan's history
     index = [{m: i for i, m in enumerate(dict.fromkeys(p[side] for p in pairs))} for side in (0, 1)]
     cols = [[_push(plan, photon, m) for m in ix] for photon, ix in zip(PHOTONS, index)]
-    if None in cols[0] or None in cols[1]:
+    if any(isinstance(c, _Halt) for c in cols[0] + cols[1]):
         trace = _run(plan, state)
         return [trace[count] for count in counts]
     psi = np.zeros((len(cols[0]), len(cols[1])), dtype=np.complex128)

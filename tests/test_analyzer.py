@@ -195,6 +195,16 @@ def test_verify_decomposed_impl():
     assert report.accuracy == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("impl", ["canonical", "decomposed"])
+def test_a_repeated_sppm_stage_counts_its_origin_once(impl):
+    circuit = parse_circuit(builtin_document("fig2") + "stage sppm photon=A paths=a1\n")
+    report = verify(impl, circuit)
+    assert report.ok
+    for row in report.rows:
+        assert row.support_size == 16
+        assert row.success_probability == pytest.approx(1.0, abs=1e-10)
+
+
 def test_verify_detects_tampered_table():
     report = verify(table=tamper_table())
     assert not report.ok

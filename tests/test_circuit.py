@@ -6,14 +6,20 @@ parser must report for them.
 """
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellsim.analyzer import verify
 from bellsim.circuit import (
+    PHOTONS,
     STAGE_KINDS,
     Circuit,
     PiAngle,
@@ -329,6 +335,116 @@ def test_validator_names_the_impl_an_issue_is_seen_under():
     errors = [i for i in report.issues if i.severity == "error"]
     assert {i.stage_index for i in errors} == {2, 3}  # both routers
     assert all(i.message.endswith("(decomposed only)") for i in errors)
+
+
+def test_validator_stops_a_push_at_its_first_error():
+    """The decomposed oh's first sorter rejects l=0, so nothing reaches its
+    interferometer and no ancilla light is reported past that error."""
+    report = validate(parse_circuit("paths a b c\nstage oh photon=A paths=c,a\n"))
+    assert report.ok
+    assert [str(i) for i in report.issues] == [
+        "warning: stage 1: oh may receive OAM outside +1/-1 ([0]) for the reference inputs",
+        "note: stage 1: oh domain restricted to l=+1/-1",
+        "note: path 'b' is declared but not used by any stage",
+    ]
+
+
+def test_validator_reports_no_overflow_past_a_sorter_that_rejected_the_light():
+    circuit = parse_circuit(
+        "lmax 1\npaths a b\n"
+        "stage oam_sorter photon=A paths=a,b\n"
+        "stage spp photon=A paths=a,b l=1\n"
+        "stage spp photon=A paths=a,b l=1\n"
+    )
+    report = validate(circuit)
+    assert report.ok
+    assert [(i.severity, i.stage_index) for i in report.issues] == [("warning", 0), ("note", 0)]
+
+
+def test_validator_warns_only_at_the_first_of_two_sorters():
+    circuit = parse_circuit(
+        "paths a b\nstage oam_sorter photon=A paths=a,b\nstage oam_sorter photon=A paths=a,b\n"
+    )
+    warnings = [i for i in validate(circuit).issues if i.severity == "warning"]
+    assert [i.stage_index for i in warnings] == [0]
+
+
+def test_validator_reports_a_compile_failure_without_the_stage_prefix():
+    circuit = Circuit(4, ("w",), (Stage("qp", "A", ("w",), {"q": Fraction(1, 3)}),))
+    assert str(validate(circuit)) == "error: stage 1: 2q must be an integer, got q=1/3"
+
+
+_TWO_OVERFLOWS_AT_ONE_STAGE = """
+from bellsim.circuit import parse_circuit
+from bellsim.engine import validate
+print(validate(parse_circuit("lmax 1\\npaths a b\\nstage p_cos photon=A paths=a,b q=1\\n")))
+"""
+
+
+def test_validator_report_does_not_depend_on_the_string_hash_seed():
+    """Errors at one stage come in push order (H before V), not in set order."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        result = subprocess.run(
+            [sys.executable, "-c", _TWO_OVERFLOWS_AT_ONE_STAGE],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.add(result.stdout)
+    assert outputs == {
+        "error: stage 1: pol-controlled shift drives OAM +0 to +2, outside lmax=1 (canonical only)\n"
+        "error: stage 1: pol-controlled shift drives OAM +0 to -2, outside lmax=1 (canonical only)\n"
+        "error: stage 1: q-plate drives OAM +0 to +2/-2, outside lmax=1 (decomposed only)\n"
+    }, outputs
+
+
+_PARAM_VALUES = {
+    "angle": st.sampled_from([PiAngle(Fraction(n, 8)) for n in (1, -2, 4)] + [0.3]),
+    "fraction": st.sampled_from([Fraction(q, 2) for q in (-1, 1, 2, 3)]),
+    "int": st.integers(-2, 2),
+    "pol": st.sampled_from("HV"),
+}
+
+
+@st.composite
+def _circuits(draw):
+    paths = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    stages = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(list(STAGE_KINDS)))
+        spec = STAGE_KINDS[kind]
+        if spec.arity == 2 and len(paths) < 2:
+            continue
+        count = spec.arity or draw(st.integers(1, min(2, len(paths))))
+        params = {
+            p.key: draw(_PARAM_VALUES[p.type])
+            for p in spec.params
+            if p.required or draw(st.booleans())
+        }
+        impl = draw(st.sampled_from(["canonical", "decomposed"])) if spec.composite else "canonical"
+        placed = tuple(draw(st.permutations(paths))[:count])
+        stages.append(Stage(kind, draw(st.sampled_from(PHOTONS)), placed, params, impl))
+    return Circuit(draw(st.integers(1, 3)), paths, tuple(stages))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(circuit=_circuits())
+def test_a_clean_report_means_the_l0_class_propagates(circuit):
+    """No error and no warning: every l=0 basis pair compiles and
+    propagates under every impl without raising."""
+    if any(i.severity in ("error", "warning") for i in validate(circuit).issues):
+        return
+    modes = [BasisMode(pol, 0, path) for path in circuit.paths for pol in ("H", "V")]
+    for impl in (None, "canonical", "decomposed"):
+        plan = compile_circuit(circuit, impl)
+        for ma in modes:
+            for mb in modes:
+                propagate(plan, TwoPhotonState(circuit.space(), {(ma, mb): 1.0}))
 
 
 # -- the stage-kind table -----------------------------------------------

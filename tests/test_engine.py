@@ -146,6 +146,11 @@ def test_fallback_origins_take_the_impl_override(impl):
     assert plan.sppm_impl == dict.fromkeys(("a1", "b1", "a2", "b2"), impl or "canonical")
 
 
+def test_a_repeated_sppm_stage_keeps_its_origin_once_at_its_first_position():
+    circuit = parse_circuit(builtin_document("fig2") + "stage sppm photon=A paths=a1\n")
+    assert compile_circuit(circuit).origins == {"A": ("a1", "b1"), "B": ("a2", "b2")}
+
+
 def test_explicit_origins_respected():
     circuit = parse_circuit(
         "paths w1 w2\nstage sppm photon=A paths=w1\nstage sppm photon=B paths=w2\n"
@@ -421,10 +426,18 @@ def test_raising_push_whose_joint_amplitude_cancels_returns_the_fold():
     want = _fold(plan, state)[-1]
     assert want.amplitudes.keys() == {(_H0X, _H0Y)}
     _assert_close(propagate(plan, state), want)
-    assert plan._images["A", _H0X] is None  # the push did raise
+    assert isinstance(plan._images["A", _H0X].exc, UnsortableOam)  # the push did raise
     final, marks = propagate_with_checkpoints(plan, state)
     _assert_close(final, want)
     _assert_close(marks["custom"], want)
+
+
+def test_a_raising_push_records_where_it_stopped():
+    plan = _hand_plan(_hadamard, _rejects_v)
+    halt = engine._push(plan, "A", _H0X)
+    assert halt.stage is plan.stages[0] and isinstance(halt.exc, UnsortableOam)
+    assert halt.images == [{_H0X: 1.0}]  # no stage completed
+    assert halt.entering == {_H0X: complex(_C), _V0X: complex(_C)}  # what the second op received
 
 
 def test_raising_push_without_cancellation_raises_the_op_by_op_error():
@@ -449,7 +462,7 @@ def test_undeclared_mode_that_cancels_within_a_column_is_dropped_by_fold_and_pus
     _assert_close(apply_column_to_photon(state, "A", column), state)
     plan = _hand_plan(column)
     _assert_close(propagate(plan, state), state)
-    assert plan._images["A", _H0X] is not None  # the push did not raise either
+    assert isinstance(plan._images["A", _H0X], int)  # the push did not raise either
 
 
 def test_second_state_on_the_same_modes_makes_no_column_calls():
