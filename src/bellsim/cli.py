@@ -228,7 +228,7 @@ def _cmd_stages(args) -> int:
                 f"phase {phase}\n"
             )
         sys.stdout.write(
-            f"all checkpoints within 1e-10: {'yes' if ok else 'NO'}\n"
+            f"all checkpoints within {analyzer.UNIFORM_TOL:g}: {'yes' if ok else 'NO'}\n"
         )
     return 0 if ok else 1
 

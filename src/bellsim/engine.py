@@ -10,11 +10,11 @@ photon's ops once per plan, caching the images on the plan as one transfer
 matrix per photon and stage count (a column per input mode, a row per
 output mode reached), and builds each returned pair state as one
 contraction ``M_A Psi M_B^T`` of the input amplitudes with them, in
-complex128, dropping amplitudes of magnitude <= 1e-15.  A push that raises
-is kept as a record of where it stopped, and the run is replayed op by op:
-that raises the error naming its stage and element, or returns the state
-if the joint amplitudes on the bad mode cancel.  ``validate`` compiles
-every plan the CLI can run and reads its issues off the same pushes.
+complex128, dropping amplitudes of magnitude <= 1e-15.  Light an op cannot
+take is parked beside its column with the error that parked it; a state
+raises that error, naming its stage and element, only if its joint
+amplitudes on the parked light do not cancel.  ``validate`` compiles every
+plan the CLI can run and reads its issues off the same pushes.
 ``assemble`` builds dense per-photon matrices for the same plan, one
 sparse row update per op from the op's nonzero entries, so the two
 evolutions can be cross-checked.
@@ -33,15 +33,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import ANCILLA_PATH, PHOTONS, STAGE_KINDS, Circuit, CompiledOp
-from .elements import SIGN_DOMAIN, ColumnFn, apply_column
-from .errors import (
-    BellSimError,
-    DimensionCap,
-    LeakedAmplitude,
-    OamOverflow,
-    UnsortableOam,
-)
-from .state import DROP_EPS, POLARIZATIONS, BasisMode, ModeSpace, PhotonState, TwoPhotonState, _clean
+from .elements import SIGN_DOMAIN, ColumnFn
+from .errors import BellSimError, DimensionCap, LeakedAmplitude, OamOverflow, UnsortableOam
+from .state import DROP_EPS, POLARIZATIONS, BasisMode, ModeSpace, TwoPhotonState, _clean
 
 __all__ = [
     "CompiledOp",
@@ -51,7 +45,6 @@ __all__ = [
     "ValidationIssue",
     "ValidationReport",
     "validate",
-    "apply_column_to_photon",
     "propagate",
     "propagate_with_checkpoints",
     "restrict_to_circuit",
@@ -94,7 +87,7 @@ class Plan:
     origins: dict[str, tuple[str, ...]]
     sppm_impl: dict[str, str]  # origin path -> canonical | decomposed
     checkpoints: tuple[tuple[str, int], ...]  # (kind, compiled-stage count)
-    # (photon, input mode) -> its column in the photon's _Transfer, or the _Halt of a raising push
+    # (photon, input mode) -> its column in the photon's _Transfer
     _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _transfers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -207,14 +200,18 @@ def _pushed_issues(circuit: Circuit, override: str | None) -> list[ValidationIss
     issues: list[ValidationIssue] = []
     bad: dict[int, set[int]] = {}  # stage index -> OAMs outside l=+1/-1 it receives
     for photon, path, pol in product(PHOTONS, circuit.paths, POLARIZATIONS):
-        pushed = _push(plan, photon, BasisMode(pol, 0, path))
-        halt = pushed if isinstance(pushed, _Halt) else None
-        images = halt.images if halt else plan._transfers[photon].columns[pushed]
+        col = _push(plan, photon, BasisMode(pol, 0, path))
+        transfer = plan._transfers[photon]
+        images, parked = transfer.columns[col], transfer.parked[col]
+        stop = next(iter(parked), None)  # keys are in plan order; read only up to the first
+        images = images[: stop[0] + 1] if stop else images
         received = [(idx, images[at]) for idx, p, at in marks if p == photon and at < len(images)]
-        if halt and isinstance(halt.exc, UnsortableOam):
-            received.append((halt.stage.index, halt.entering))
-        elif halt:
-            issues.append(ValidationIssue("error", halt.stage.index, str(halt.exc)))
+        if stop:
+            index, exc = plan.stages[stop[0]].index, transfer.errors[stop]
+            if isinstance(exc, UnsortableOam):
+                received.append((index, [m for s, _, m in parked if s == stop[0]]))
+            else:
+                issues.append(ValidationIssue("error", index, str(exc)))
         for idx, amplitudes in received:
             paths = circuit.stages[idx].paths
             oams = {m.oam for m in amplitudes if m.path in paths and m.oam not in SIGN_DOMAIN}
@@ -238,8 +235,8 @@ def validate(circuit: Circuit) -> ValidationReport:
     yields a different one.  Each is compiled, and each l=0 basis mode
     (both polarizations, every declared path, both photons: the
     analyzer's input class) is pushed through it by ``_push``, the same
-    push ``propagate`` reads, stopping at its first error.  A compile
-    failure or any push error other than ``UnsortableOam`` is an error;
+    push ``propagate`` reads, up to the first op that parked light.  A
+    compile failure or that op's error, unless ``UnsortableOam``, is an error;
     ``UnsortableOam``, and OAM outside l=+1/-1 reaching an ``sppm`` path,
     is a warning; light on the ancilla path after a stage is an error.
     Identical issues are merged; one seen under only some impls names
@@ -296,17 +293,6 @@ def validate(circuit: Circuit) -> ValidationReport:
 # -- sparse propagation -------------------------------------------------
 
 
-def apply_column_to_photon(state: TwoPhotonState, photon: str, column: ColumnFn) -> TwoPhotonState:
-    """Apply a single-photon column operator to one factor of a pair state."""
-    first = photon == "A"
-    out: dict = {}
-    for (ma, mb), amp in state.amplitudes.items():
-        for mode, coeff in column(ma if first else mb):
-            key = (mode, mb) if first else (ma, mode)
-            out[key] = out.get(key, 0j) + amp * coeff
-    return TwoPhotonState(state.space, _clean(out))
-
-
 def restrict_to_circuit(plan: Plan, state: TwoPhotonState, where: str = "state") -> TwoPhotonState:
     """Strip the compile-time ancilla path, checking it carries no light.
 
@@ -330,32 +316,21 @@ def restrict_to_circuit(plan: Plan, state: TwoPhotonState, where: str = "state")
     return TwoPhotonState._trusted(space, kept)
 
 
-def _run(plan: Plan, state: TwoPhotonState) -> "list[TwoPhotonState]":
-    """The input, then the state after each compiled stage, op by op."""
-    trace = [state]
-    for cs in plan.stages:
-        for op in cs.ops:
-            try:
-                state = apply_column_to_photon(state, cs.photon, op.column)
-            except BellSimError as exc:
-                raise type(exc)(
-                    f"stage {cs.index + 1} ({cs.label}), element {op.label}: {exc}"
-                ) from exc
-        trace.append(state)
-    return trace
-
-
 class _Transfer:
     """One photon's pushed input modes, each as its image after every stage
     count, read as one matrix per count: column j is the j-th pushed mode's
-    image, and the rows are the output modes those images reach."""
+    image, and the rows are the output modes those images reach.  Beside
+    each column is the light its push parked, and each parked key's error."""
 
     def __init__(self) -> None:
         self.columns: list[list[dict]] = []
+        self.parked: list[dict] = []  # per column: (stage, op, mode) -> amplitude
+        self.errors: dict[tuple, BellSimError] = {}
         self._built: dict[int, tuple[list[BasisMode], np.ndarray]] = {}
 
-    def add(self, images: list[dict]) -> int:
+    def add(self, images: list[dict], parked: dict) -> int:
         self.columns.append(images)
+        self.parked.append(parked)
         self._built.clear()  # every count's matrix grows by this column
         return len(self.columns) - 1
 
@@ -375,32 +350,59 @@ class _Transfer:
         return self._built[count]
 
 
-class _Halt(NamedTuple):
-    """A raising push: its stage and error, images, and the op's input amplitudes."""
-
-    stage: CompiledStage
-    exc: BellSimError
-    images: list[dict]
-    entering: dict
-
-
-def _push(plan: Plan, photon: str, mode: BasisMode) -> "int | _Halt":
+def _push(plan: Plan, photon: str, mode: BasisMode) -> int:
     """The input mode's column in its photon's transfer matrices, pushed through
-    the photon's ops on first use and cached on the plan; a _Halt if the push raised."""
+    the photon's ops on first use and cached on the plan.  Light an op cannot
+    take (its column raises, or an image fails the space check) is parked
+    under (stage position, op position, mode) and leaves the push."""
     if (photon, mode) not in plan._images:
-        single = PhotonState(plan.space, {mode: 1.0 + 0.0j})
-        images = [single.amplitudes]
-        try:
-            for cs in plan.stages:
-                for op in cs.ops if cs.photon == photon else ():
-                    single = apply_column(single, op.column)
-                images.append(single.amplitudes)
-        except BellSimError as exc:
-            plan._images[photon, mode] = _Halt(cs, exc, images, single.amplitudes)
-        else:
-            transfer = plan._transfers.setdefault(photon, _Transfer())
-            plan._images[photon, mode] = transfer.add(images)
+        transfer = plan._transfers.setdefault(photon, _Transfer())
+        amps: dict = {mode: 1.0 + 0.0j}
+        images, parked = [amps], {}
+        for s, cs in enumerate(plan.stages):
+            for o, op in enumerate(cs.ops if cs.photon == photon else ()):
+                out: dict = {}
+                for m, amp in amps.items():
+                    try:
+                        terms = op.column(m)
+                    except BellSimError as exc:
+                        parked[s, o, m] = amp
+                        transfer.errors.setdefault((s, o, m), exc)
+                        continue
+                    for new, coeff in terms:
+                        out[new] = out.get(new, 0j) + amp * coeff
+                amps = _clean(out)
+                for m in list(amps):
+                    try:
+                        plan.space.check_mode(m)
+                    except BellSimError as exc:
+                        parked[s, o, m] = amps.pop(m)
+                        transfer.errors.setdefault((s, o, m), exc)
+            images.append(amps)
+        plan._images[photon, mode] = transfer.add(images, parked)
     return plan._images[photon, mode]
+
+
+def _raise_parked(plan: Plan, psi: np.ndarray, cols: list, transfers: list) -> None:
+    """Raise for the earliest op, in plan order, whose parked light the pair
+    state reaches: the parked row over the state's input modes, times Psi,
+    times the other photon's images entering that stage.  At a tie the key
+    met first, walking the state's input modes, wins."""
+    first, exc = (len(plan.stages), 0), None  # (stage, op) of the earliest reached, and its error
+    for side, (transfer, own) in enumerate(zip(transfers, cols)):
+        other = transfers[1 - side].at
+        for c in own:
+            for key in transfer.parked[c]:
+                if key[:2] >= first:
+                    continue
+                row = np.array([transfer.parked[j].get(key, 0j) for j in own])
+                images = other(key[0])[1][:, cols[1 - side]]
+                received = row @ psi @ images.T if side == 0 else images @ psi @ row
+                if np.abs(received).max(initial=0.0) > DROP_EPS:
+                    first, exc = key[:2], transfer.errors[key]
+    if exc is not None:
+        cs = plan.stages[first[0]]
+        raise type(exc)(f"stage {cs.index + 1} ({cs.label}), element {cs.ops[first[1]].label}: {exc}") from exc
 
 
 def _states(plan: Plan, state: TwoPhotonState, counts: tuple[int, ...]) -> "list[TwoPhotonState]":
@@ -412,12 +414,11 @@ def _states(plan: Plan, state: TwoPhotonState, counts: tuple[int, ...]) -> "list
     # Psi's rows and columns follow the state's own mode order, not the plan's history
     index = [{m: i for i, m in enumerate(dict.fromkeys(p[side] for p in pairs))} for side in (0, 1)]
     cols = [[_push(plan, photon, m) for m in ix] for photon, ix in zip(PHOTONS, index)]
-    if any(isinstance(c, _Halt) for c in cols[0] + cols[1]):
-        trace = _run(plan, state)
-        return [trace[count] for count in counts]
     psi = np.zeros((len(cols[0]), len(cols[1])), dtype=np.complex128)
     psi[[index[0][a] for a, _ in pairs], [index[1][b] for _, b in pairs]] = list(pairs.values())
-    ta, tb = (plan._transfers.get(photon) or _Transfer() for photon in PHOTONS)
+    ta, tb = transfers = [plan._transfers.get(photon) or _Transfer() for photon in PHOTONS]
+    if ta.errors or tb.errors:  # some push of the plan parked light
+        _raise_parked(plan, psi, cols, transfers)
     out = []
     for count in counts:
         if not count:
@@ -438,7 +439,7 @@ def _states(plan: Plan, state: TwoPhotonState, counts: tuple[int, ...]) -> "list
 
 def propagate(plan: Plan, state: TwoPhotonState) -> TwoPhotonState:
     """Final state in the circuit's own space (ancilla checked + stripped): one
-    contraction with mode images built once per plan; a raising push is replayed op by op."""
+    contraction with mode images built once per plan; raises if it reaches parked light."""
     (final,) = _states(plan, state, (len(plan.stages),))
     return restrict_to_circuit(plan, final, "after final stage")
 

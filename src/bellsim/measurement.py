@@ -22,7 +22,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, NoReturn
 
 from .elements import SIGN_DOMAIN, Element, apply_elements, oam_sorter, pbs
 from .errors import CalibrationFailure, LeakedAmplitude, MalformedPattern, UnsortableOam
@@ -267,9 +267,10 @@ def sppm_project(
     return OutcomeDistribution(origins_a, origins_b, probs)
 
 
-def _unlisted(pair: tuple, amp: complex, origins_a: tuple, origins_b: tuple) -> CoincidencePattern:
-    """A mode pair that no pattern of the origins reads: raises the error of its
-    first photon outside the measured origins or the l=+1/-1 domain."""
+def _unlisted(pair: tuple, amp: complex, origins_a: tuple, origins_b: tuple) -> NoReturn:
+    """A mode pair that no pattern of the origins reads: always raises, the
+    error of its first photon outside the measured origins or the l=+1/-1
+    domain (a pair inside both is in the pattern table)."""
     for mode, origins, photon in zip(pair, (origins_a, origins_b), ("A", "B")):
         if mode.path not in origins:
             raise LeakedAmplitude(
@@ -281,5 +282,3 @@ def _unlisted(pair: tuple, amp: complex, origins_a: tuple, origins_b: tuple) -> 
                 f"photon {photon} amplitude on l={mode.oam:+d} at {mode.path!r}; "
                 "the sorter blocks only resolve l=+1/-1"
             )
-    ma, mb = pair
-    return CoincidencePattern(DetectorId(ma.oam, ma.pol, ma.path), DetectorId(mb.oam, mb.pol, mb.path))

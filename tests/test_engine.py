@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_circuit import _circuits
 
 from bellsim import engine
 from bellsim.circuit import PHOTONS, STAGE_KINDS, Circuit, Stage, builtin_document, parse_circuit
@@ -29,7 +30,6 @@ from bellsim.engine import (
     CompiledOp,
     CompiledStage,
     Plan,
-    apply_column_to_photon,
     assemble,
     compile_circuit,
     propagate,
@@ -37,13 +37,14 @@ from bellsim.engine import (
     restrict_to_circuit,
 )
 from bellsim.errors import (
+    BellSimError,
     DimensionCap,
     LeakedAmplitude,
     OamOverflow,
     UnknownPath,
     UnsortableOam,
 )
-from bellsim.state import BasisMode, ModeSpace, PhotonState, TwoPhotonState
+from bellsim.state import BasisMode, ModeSpace, PhotonState, TwoPhotonState, _clean
 
 FIG2 = parse_circuit(builtin_document("fig2"))
 SPACE = FIG2.space()
@@ -248,26 +249,6 @@ def test_ancilla_light_after_the_final_stage_names_where_it_was_found():
     assert str(info.value) == "checkpoint p_cos: probability 3.600e-01 left on ancilla path _mzi"
 
 
-def _h0_pair():
-    return TwoPhotonState(SPACE, {(BasisMode("H", 0, "a1"), BasisMode("H", 0, "a2")): 1.0})
-
-
-def test_user_column_to_undeclared_path_raises():
-    def column(mode):
-        return [(BasisMode(mode.pol, mode.oam, "nowhere"), 1.0 + 0.0j)]
-
-    with pytest.raises(UnknownPath):
-        apply_column_to_photon(_h0_pair(), "B", column)
-
-
-def test_user_column_past_lmax_raises():
-    def column(mode):
-        return [(BasisMode(mode.pol, mode.oam + SPACE.lmax + 1, mode.path), 1.0 + 0.0j)]
-
-    with pytest.raises(OamOverflow):
-        apply_column_to_photon(_h0_pair(), "A", column)
-
-
 @pytest.mark.parametrize("impl", ["canonical", "decomposed"])
 def test_sub_threshold_input_amplitude_is_dropped(impl):
     plan = compile_circuit(FIG2, impl)
@@ -277,16 +258,41 @@ def test_sub_threshold_input_amplitude_is_dropped(impl):
     assert repr(propagate(plan, TwoPhotonState(SPACE, tiny))) == repr(propagate(plan, bell))
 
 
+def apply_column_to_photon(state, photon, column):
+    """Apply a single-photon column operator to one factor of a pair state."""
+    first = photon == "A"
+    out = {}
+    for (ma, mb), amp in state.amplitudes.items():
+        for mode, coeff in column(ma if first else mb):
+            key = (mode, mb) if first else (ma, mode)
+            out[key] = out.get(key, 0j) + amp * coeff
+    return TwoPhotonState(state.space, _clean(out))
+
+
 def _fold(plan, state):
     """Reference: the state after each compiled stage, one
-    ``apply_column_to_photon`` per op, with no per-mode images."""
+    ``apply_column_to_photon`` per op, with no per-mode images; an op that
+    raises is named by its stage and element."""
     state = state.with_space(plan.space)
     trace = [state]
     for cs in plan.stages:
         for op in cs.ops:
-            state = apply_column_to_photon(state, cs.photon, op.column)
+            try:
+                state = apply_column_to_photon(state, cs.photon, op.column)
+            except BellSimError as exc:
+                raise type(exc)(f"stage {cs.index + 1} ({cs.label}), element {op.label}: {exc}") from exc
         trace.append(state)
     return trace
+
+
+def _fold_with_checkpoints(plan, state):
+    """``propagate_with_checkpoints`` read off ``_fold``, restricting in the same order."""
+    trace = _fold(plan, state)
+    marks = {
+        kind: restrict_to_circuit(plan, trace[count], f"checkpoint {kind}")
+        for kind, count in plan.checkpoints
+    }
+    return restrict_to_circuit(plan, trace[-1], "after final stage"), marks
 
 
 def _assert_close(got, want):
@@ -303,20 +309,28 @@ _FOLD_PLANS = {
 }
 
 
-def _no_replay(*args):
-    raise AssertionError("op-by-op replay ran, but no push raises on fig2's input sector")
+def _outcome(run, plan, state):
+    """What ``run`` returns, or the type and text of the error it raises."""
+    try:
+        return run(plan, state)
+    except BellSimError as exc:
+        return type(exc), str(exc)
 
 
 def _assert_matches_fold(plan, state):
-    trace = _fold(plan, state)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "apply_column_to_photon", _no_replay)
-        final, marks = propagate_with_checkpoints(plan, state)
-        _assert_close(propagate(plan, state), restrict_to_circuit(plan, trace[-1]))
-    _assert_close(final, restrict_to_circuit(plan, trace[-1]))
-    assert marks.keys() == {kind for kind, _ in plan.checkpoints}
-    for kind, count in plan.checkpoints:
-        _assert_close(marks[kind], restrict_to_circuit(plan, trace[count]))
+    """``propagate_with_checkpoints`` equals the fold at every checkpoint, or
+    raises the same error with the same text."""
+    got = _outcome(propagate_with_checkpoints, plan, state)
+    want = _outcome(_fold_with_checkpoints, plan, state)
+    if isinstance(want[0], type) or isinstance(got[0], type):
+        assert got == want
+        return
+    (final, marks), (want_final, want_marks) = got, want
+    _assert_close(final, want_final)
+    _assert_close(propagate(plan, state), want_final)
+    assert marks.keys() == want_marks.keys() == {kind for kind, _ in plan.checkpoints}
+    for kind, mark in want_marks.items():
+        _assert_close(marks[kind], mark)
 
 
 @pytest.mark.parametrize("key", list(_FOLD_PLANS))
@@ -347,17 +361,15 @@ def test_propagation_matches_op_by_op_fold_on_sector_states(key, parts):
 @pytest.mark.parametrize("impl", ("canonical", "decomposed"))
 def test_contraction_matches_op_by_op_replay_at_every_stage_count(impl, lmax):
     """``_states`` contracts each input with the plan's transfer matrices, and
-    ``_run`` applies op after op: within 1e-15, on equal supports, at every count."""
+    ``_fold`` applies op after op: within 1e-15, on equal supports, at every count."""
     plan = _FOLD_PLANS[lmax, impl]
     space = plan.circuit.space()
     inputs = [prepare_input(label, space) for label in BELL_LABELS]
     inputs += random_input_states(200, 0xC0FFEE, space)
     counts = tuple(range(len(plan.stages) + 1))
     for state in inputs:
-        replay = engine._run(plan, state.with_space(plan.space))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "_run", _no_replay)
-            got = engine._states(plan, state, counts)
+        replay = _fold(plan, state)
+        got = engine._states(plan, state, counts)
         assert len(got) == len(replay)
         for at_count, want in zip(got, replay):
             _assert_close(at_count, want)
@@ -419,25 +431,31 @@ def _hand_plan(*columns):
 
 
 def test_raising_push_whose_joint_amplitude_cancels_returns_the_fold():
-    """H0x's push reaches V0x, which the second op rejects; in this state
-    the joint amplitude on V0x cancels after the first op, so nothing raises."""
+    """H0x's push reaches V0x, which the second op rejects and parks; in this
+    state the joint amplitude on V0x cancels after the first op, so nothing raises."""
     plan = _hand_plan(_hadamard, _rejects_v)
     state = TwoPhotonState(_HAND_SPACE, {(_H0X, _H0Y): complex(_C), (_V0X, _H0Y): complex(_C)})
     want = _fold(plan, state)[-1]
     assert want.amplitudes.keys() == {(_H0X, _H0Y)}
     _assert_close(propagate(plan, state), want)
-    assert isinstance(plan._images["A", _H0X].exc, UnsortableOam)  # the push did raise
+    assert _parked(plan, "A", _H0X) == {(0, 1, _V0X): complex(_C)}  # the push did park light
     final, marks = propagate_with_checkpoints(plan, state)
     _assert_close(final, want)
     _assert_close(marks["custom"], want)
 
 
+def _parked(plan, photon, mode):
+    col = engine._push(plan, photon, mode)
+    return plan._transfers[photon].parked[col]
+
+
 def test_a_raising_push_records_where_it_stopped():
+    """The second op rejects V0x: that light is parked under (stage 0, op 1,
+    V0x) with its error, and H0x runs on to the end of the push."""
     plan = _hand_plan(_hadamard, _rejects_v)
-    halt = engine._push(plan, "A", _H0X)
-    assert halt.stage is plan.stages[0] and isinstance(halt.exc, UnsortableOam)
-    assert halt.images == [{_H0X: 1.0}]  # no stage completed
-    assert halt.entering == {_H0X: complex(_C), _V0X: complex(_C)}  # what the second op received
+    assert _parked(plan, "A", _H0X) == {(0, 1, _V0X): complex(_C)}
+    assert isinstance(plan._transfers["A"].errors[0, 1, _V0X], UnsortableOam)
+    assert plan._transfers["A"].columns[0] == [{_H0X: 1.0}, {_H0X: complex(_C)}]
 
 
 def test_raising_push_without_cancellation_raises_the_op_by_op_error():
@@ -445,11 +463,40 @@ def test_raising_push_without_cancellation_raises_the_op_by_op_error():
     state = TwoPhotonState(_HAND_SPACE, {(_H0X, _H0Y): 1.0 + 0.0j})
     with pytest.raises(UnsortableOam) as fold_info:
         _fold(plan, state)
-    text = f"stage 1 (custom), element e2: {fold_info.value}"
+    text = "stage 1 (custom), element e2: V on x is not allowed here"
+    assert str(fold_info.value) == text
     for run in (propagate, propagate_with_checkpoints):
         with pytest.raises(UnsortableOam) as info:
             run(plan, state)
         assert str(info.value) == text
+
+
+def test_a_sub_threshold_amplitude_on_parked_light_raises_nothing():
+    """A 1e-16 input amplitude is below the 1e-15 drop, here as in every
+    other amplitude, so the op that rejects its mode receives nothing."""
+    plan = _hand_plan(_rejects_v)
+    state = TwoPhotonState(_HAND_SPACE, {(_H0X, _H0Y): 1.0 + 0.0j, (_V0X, _H0Y): 1e-16 + 0.0j})
+    assert propagate(plan, state).amplitudes == {(_H0X, _H0Y): 1.0 + 0.0j}
+
+
+def test_user_column_to_undeclared_path_raises():
+    def column(mode):
+        return [(BasisMode(mode.pol, mode.oam, "nowhere"), 1.0 + 0.0j)]
+
+    state = TwoPhotonState(_HAND_SPACE, {(_H0X, _H0Y): 1.0 + 0.0j})
+    with pytest.raises(UnknownPath) as info:
+        propagate(_hand_plan(column), state)
+    assert str(info.value) == "stage 1 (custom), element e1: path 'nowhere' is not declared (have ['x', 'y'])"
+
+
+def test_user_column_past_lmax_raises():
+    def column(mode):
+        return [(BasisMode(mode.pol, mode.oam + _HAND_SPACE.lmax + 1, mode.path), 1.0 + 0.0j)]
+
+    state = TwoPhotonState(_HAND_SPACE, {(_H0X, _H0Y): 1.0 + 0.0j})
+    with pytest.raises(OamOverflow) as info:
+        propagate(_hand_plan(column), state)
+    assert str(info.value) == "stage 1 (custom), element e1: OAM index +3 exceeds bound lmax=2"
 
 
 def test_undeclared_mode_that_cancels_within_a_column_is_dropped_by_fold_and_push():
@@ -462,7 +509,7 @@ def test_undeclared_mode_that_cancels_within_a_column_is_dropped_by_fold_and_pus
     _assert_close(apply_column_to_photon(state, "A", column), state)
     plan = _hand_plan(column)
     _assert_close(propagate(plan, state), state)
-    assert isinstance(plan._images["A", _H0X], int)  # the push did not raise either
+    assert _parked(plan, "A", _H0X) == {}  # the push did not park light either
 
 
 def test_second_state_on_the_same_modes_makes_no_column_calls():
@@ -483,6 +530,76 @@ def test_second_state_on_the_same_modes_makes_no_column_calls():
     got = propagate(plan, second)
     assert calls == []
     _assert_close(got, _fold(plan, second)[-1])
+
+
+_DARK_PORT = parse_circuit(
+    "lmax 2\npaths a b c d e\n"
+    "stage bs photon=B paths=d,e\n"
+    "stage bs photon=A paths=a,b\n"
+    "stage oam_sorter photon=A paths=b,c\n"
+)
+_DARK_PORT_ERROR = (
+    "stage 3 (oam_sorter photon=A paths=b,c), element oam_sorter@b,c: "
+    "OAM sorter on (b,c) received l=+0; its domain is l=+1/-1"
+)
+
+
+def _h0(path):
+    return BasisMode("H", 0, path)
+
+
+def test_a_sorter_on_a_dark_port_receives_nothing_in_an_interfering_pair():
+    """Every l=0 input on a reaches the sorter on b, but in this pair the two
+    beam splitters leave b dark, so the pair passes; a basis input raises."""
+    plan = compile_circuit(_DARK_PORT)
+    space = _DARK_PORT.space()
+    state = TwoPhotonState(space, {
+        (_h0("a"), _h0("d")): 0.5 + 0.0j,
+        (_h0("b"), _h0("d")): -0.5j,
+        (_h0("a"), _h0("e")): 0.5j,
+        (_h0("b"), _h0("e")): 0.5 + 0.0j,
+    })
+    final = propagate(plan, state)
+    assert final.amplitudes.keys() == {(_h0("a"), _h0("e"))}
+    assert abs(final.amplitudes[_h0("a"), _h0("e")] - 1j) <= 1e-15
+    # the text must not depend on which states a plan saw before
+    modes = [BasisMode(pol, 0, path) for path in space.paths for pol in ("H", "V")]
+    rng = np.random.default_rng(7)
+    fresh, seasoned = compile_circuit(_DARK_PORT), compile_circuit(_DARK_PORT)
+    for _ in range(20):
+        picks = rng.integers(len(modes), size=(3, 2))
+        _outcome(propagate, seasoned, TwoPhotonState(space, {(modes[i], modes[j]): 0.5 for i, j in picks}))
+    basis = TwoPhotonState(space, {(_h0("a"), _h0("d")): 1.0 + 0.0j})
+    for seen in (plan, fresh, seasoned):
+        with pytest.raises(UnsortableOam) as info:
+            propagate(seen, basis)
+        assert str(info.value) == _DARK_PORT_ERROR
+
+
+# -- the transfer matrices against the op-by-op fold, on random circuits --
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(circuit=_circuits(), seed=st.integers(0, 2**32 - 1))
+def test_random_circuits_match_the_fold_or_raise_its_error(circuit, seed):
+    """Every l=0 basis pair and a few l=0 superpositions, under every impl:
+    the same states at every checkpoint, or the same error and text."""
+    modes = [BasisMode(pol, 0, path) for path in circuit.paths for pol in ("H", "V")]
+    pairs = [(ma, mb) for ma in modes for mb in modes]
+    space = circuit.space()
+    states = [TwoPhotonState(space, {pair: 1.0 + 0.0j}) for pair in pairs]
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        vec = rng.standard_normal(len(pairs)) + 1j * rng.standard_normal(len(pairs))
+        vec /= np.linalg.norm(vec)
+        states.append(TwoPhotonState(space, dict(zip(pairs, map(complex, vec)))))
+    for impl in (None, "canonical", "decomposed"):
+        try:
+            plan = compile_circuit(circuit, impl)
+        except BellSimError:
+            continue
+        for state in states:
+            _assert_matches_fold(plan, state)
 
 
 # -- dense assembly -----------------------------------------------------
