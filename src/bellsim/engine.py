@@ -552,6 +552,7 @@ class _SparseOp(NamedTuple):
     empty: np.ndarray  # rows with no entry at all
     slots: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # (positions, cols, coeffs)
     valid: np.ndarray  # per source column: False where it overflows
+    moved: np.ndarray  # per source column: True unless it is its own unit column
     note: str
 
 
@@ -589,12 +590,14 @@ def _sparse_op(column: ColumnFn, modes: list[BasisMode], index: dict[BasisMode, 
     identity = (count == 1) & (np.bincount(r[unit], minlength=len(modes)) == 1)
     heads = np.flatnonzero((count > 0) & ~identity)
     keep = np.flatnonzero(~identity[r])
+    moved = np.bincount(c, minlength=len(modes)) == 0  # an empty column is a zero column
+    moved[c[keep]] = True
     keep = keep[np.argsort(r[keep], kind="stable")]
     r, c, k = r[keep], c[keep], k[keep]
     slot = np.arange(len(r)) - np.searchsorted(r, r)  # rank of each entry within its row
     pos = np.searchsorted(heads, r)
     slots = tuple((pos[slot == s], c[slot == s], k[slot == s]) for s in np.unique(slot))
-    return _SparseOp(heads, np.flatnonzero(count == 0), slots, valid, note)
+    return _SparseOp(heads, np.flatnonzero(count == 0), slots, valid, moved, note)
 
 
 def _apply_rows(op: _SparseOp, mat: np.ndarray) -> None:
@@ -617,6 +620,10 @@ def _unitarity_residual(mat: np.ndarray, valid: np.ndarray) -> float:
 def assemble(plan: Plan) -> AssembledUnitary:
     """Dense per-photon matrices for a plan, with per-stage unitarity checks.
 
+    A stage's residual, max |G - I| for the Gram G of its valid columns, is
+    taken on the columns its ops move: any other column, and its row, is the
+    unit one in every op of the stage, so its Gram row is the identity row.
+
     Raises:
         DimensionCap: if the per-photon dimension exceeds ``MAX_PHOTON_DIMENSION``.
     """
@@ -630,17 +637,19 @@ def assemble(plan: Plan) -> AssembledUnitary:
     valids = {p: np.ones(dim, dtype=bool) for p in PHOTONS}
     records = []
     for cs in plan.stages:
-        stage_mat = np.eye(dim, dtype=np.complex128)
+        ops = [_sparse_op(op.column, modes, index) for op in cs.ops]
+        moved = np.flatnonzero(np.any([sparse.moved for sparse in ops], axis=0))
+        block = np.zeros((dim, len(moved)), dtype=np.complex128)
+        block[moved, np.arange(len(moved))] = 1.0
         stage_valid = np.ones(dim, dtype=bool)
         notes = [cs.note] if cs.note else []
-        for op in cs.ops:
-            sparse = _sparse_op(op.column, modes, index)
-            _apply_rows(sparse, stage_mat)
+        for sparse in ops:
+            _apply_rows(sparse, block)
             _apply_rows(sparse, totals[cs.photon])
             stage_valid &= sparse.valid
             if sparse.note and sparse.note not in notes:
                 notes.append(sparse.note)
-        residual = _unitarity_residual(stage_mat, stage_valid)
+        residual = _unitarity_residual(block, stage_valid[moved])
         records.append(
             StageMatrixRecord(
                 cs.index, cs.kind, cs.photon, cs.impl, cs.label, residual, "; ".join(notes)

@@ -254,6 +254,16 @@ def test_bad_input_label():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["export-table", "--lmax", "3"], ["describe", "--impl", "canonical"], ["oracle", "--tamper-table"]],
+)
+def test_flag_the_command_does_not_take(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_parser_lists_subcommands():
     parser = build_parser()
     text = parser.format_help()

@@ -665,15 +665,15 @@ def test_assembly_accumulates_repeated_output_modes():
             assert _maxdiff(dense.apply(state), propagate(plan, state)) <= 1e-12, (ma, mb)
 
 
-def _reference_matrices(plan):
-    """Per-photon matrices and valid columns, one op at a time: column j of
-    an op is the summed ``apply_column`` image of basis mode j, empty and
-    invalid on OamOverflow, the identity column on UnsortableOam."""
+def _reference_stages(plan):
+    """Per compiled stage, its matrix and valid columns, one op at a time:
+    column j of an op is the summed ``apply_column`` image of basis mode j,
+    empty and invalid on OamOverflow, the identity column on UnsortableOam."""
     modes = plan.space.modes()
     dim = len(modes)
-    mats = {p: np.eye(dim, dtype=complex) for p in PHOTONS}
-    valids = {p: np.ones(dim, dtype=bool) for p in PHOTONS}
     for cs in plan.stages:
+        stage = np.eye(dim, dtype=complex)
+        valid = np.ones(dim, dtype=bool)
         for op in cs.ops:
             mat = np.zeros((dim, dim), dtype=complex)
             for j, mode in enumerate(modes):
@@ -681,14 +681,31 @@ def _reference_matrices(plan):
                 try:
                     image = apply_column(basis, op.column)
                 except OamOverflow:
-                    valids[cs.photon][j] = False
+                    valid[j] = False
                     continue
                 except UnsortableOam:
                     image = basis
                 for out_mode, amp in image.amplitudes.items():
                     mat[plan.space.index(out_mode), j] = amp
-            mats[cs.photon] = mat @ mats[cs.photon]
+            stage = mat @ stage
+        yield cs, stage, valid
+
+
+def _reference_matrices(plan):
+    """Per-photon products of the reference stages, and their valid columns."""
+    dim = plan.space.dimension
+    mats = {p: np.eye(dim, dtype=complex) for p in PHOTONS}
+    valids = {p: np.ones(dim, dtype=bool) for p in PHOTONS}
+    for cs, stage, valid in _reference_stages(plan):
+        mats[cs.photon] = stage @ mats[cs.photon]
+        valids[cs.photon] &= valid
     return mats, valids
+
+
+def _gram_residual(mat, valid):
+    """max |G - I| for the full Gram G of ``mat``'s valid columns."""
+    sub = mat[:, valid]
+    return float(np.max(np.abs(sub.conj().T @ sub - np.eye(sub.shape[1])), initial=0.0))
 
 
 _ANGLE = st.floats(-2 * math.pi, 2 * math.pi)
@@ -730,6 +747,54 @@ def test_assembly_matches_summed_columns_per_kind(kind, impl, data):
     assert np.array_equal(dense.u_b, np.eye(plan.space.dimension))
     assert np.array_equal(dense.valid_a, valids["A"])
     assert dense.valid_b.all()
+    (record,) = dense.records
+    assert abs(record.unitarity_residual - _gram_residual(mats["A"], valids["A"])) <= 1e-15
+
+
+@pytest.mark.parametrize("impl", ["canonical", "decomposed"])
+def test_stage_residuals_match_the_full_stage_gram(impl):
+    """fig2 at lmax 4: each stage's residual, taken on the columns its ops
+    move, is the one of the whole dense stage matrix's Gram."""
+    plan = compile_circuit(dataclasses.replace(FIG2, lmax=4), impl)
+    dense = assemble(plan)
+    want = [_gram_residual(stage, valid) for _, stage, valid in _reference_stages(plan)]
+    got = [r.unitarity_residual for r in dense.records]
+    assert len(got) == len(want)
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
+
+
+def _absorbs_v(mode):
+    """V on x goes nowhere: an empty column that is still a valid one."""
+    return [] if mode == _V0X else [(mode, 1.0 + 0.0j)]
+
+
+def _overflows_v(mode):
+    """V on x overflows: an empty column that is not a valid one."""
+    if mode == _V0X:
+        raise OamOverflow("V on x leaves the space here")
+    return [(mode, 1.0 + 0.0j)]
+
+
+def _swaps_x(mode):
+    return [({_H0X: _V0X, _V0X: _H0X}.get(mode, mode), 1.0 + 0.0j)]
+
+
+def _merges_x(mode):
+    """H and V on x both go to H on x: not an isometry."""
+    return [(_H0X if mode in (_H0X, _V0X) else mode, 1.0 + 0.0j)]
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [(_absorbs_v,), (_swaps_x, _absorbs_v), (_swaps_x, _overflows_v), (_merges_x,)],
+    ids=["absorbed", "moved-then-absorbed", "moved-then-overflowed", "merged"],
+)
+def test_stage_residual_sees_a_stage_that_is_not_unitary(columns):
+    """A valid column that the stage absorbs, or that its first op moves onto
+    a mode the second op absorbs or overflows (each op alone is unitary on
+    its own valid columns in the last case), or two columns sent to one mode."""
+    (record,) = assemble(_hand_plan(*columns)).records
+    assert record.unitarity_residual >= 0.5
 
 
 @pytest.mark.parametrize("impl", ["canonical", "decomposed"])
