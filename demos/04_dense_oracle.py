@@ -30,11 +30,7 @@ def main():
 
     print("== per-stage residuals ==")
     for rec in dense.records:
-        note = f"  ({rec.note})" if rec.note else ""
-        print(
-            f"  stage {rec.index + 1:>2}  {rec.label:<28} "
-            f"{rec.unitarity_residual:.3e}{note}"
-        )
+        print(f"  stage {rec.index + 1:>2}  {rec.label:<28} {rec.unitarity_residual:.3e}")
     print()
 
     print("== sparse vs dense, canonical blocks ==")

@@ -129,9 +129,9 @@ class KindSpec:
     Attributes:
         arity: exact number of paths, or None for one or more.
         params: kind-specific keys, in canonical print order.
-        build: (stage, impl, space) -> (single-photon ops, note for the
-            dense oracle); None for the measurement marker, which records
-            a detection origin and compiles to no op.
+        build: (stage, impl, space) -> single-photon ops; None for the
+            measurement marker, which records a detection origin and
+            compiles to no op.
         composite: accepts ``impl=`` (canonical truth table or element
             decomposition).
         sign_domain: the stage only acts on l=+1/-1.
@@ -141,7 +141,7 @@ class KindSpec:
     name: str
     arity: int | None
     params: tuple[Param, ...]
-    build: Callable[[Stage, str, ModeSpace], tuple[list[CompiledOp], str]] | None
+    build: Callable[[Stage, str, ModeSpace], list[CompiledOp]] | None
     composite: bool = False
     sign_domain: bool = False
     ancilla: bool = False
@@ -156,41 +156,36 @@ def _primitive(name: str, params: tuple[Param, ...], make, sign_domain: bool = F
 
     def build(stage: Stage, impl: str, space: ModeSpace):
         values = {k: angle_value(v) if isinstance(v, PiAngle) else v for k, v in stage.params.items()}
-        return _element_ops([make(stage.paths, values)], space), ""
+        return _element_ops([make(stage.paths, values)], space)
 
     arity = 2 if name in el.TWO_PATH_KINDS else None
     return KindSpec(name, arity, params, build, sign_domain=sign_domain)
 
 
-_SIGN_NOTE = "identity outside l=+1/-1"
-
-
 def _build_p_cos(stage: Stage, impl: str, space: ModeSpace):
     q = Fraction(stage.params.get("q", Fraction(1, 2)))
     if impl == "canonical":
-        return [CompiledOp(f"p_cos(q={q})", gates.pol_shift_column(q, stage.paths, space))], ""
-    return _element_ops(gates.pol_shift_decomposition(q, stage.paths), space), ""
+        return [CompiledOp(f"p_cos(q={q})", gates.pol_shift_column(q, stage.paths, space))]
+    return _element_ops(gates.pol_shift_decomposition(q, stage.paths), space)
 
 
 def _build_o_cps(stage: Stage, impl: str, space: ModeSpace):
     if impl == "canonical":
-        column = el.element_column(el.oam_sorter(*stage.paths), space)
-        return [CompiledOp("o_cps", column)], _SIGN_NOTE
-    return _element_ops(gates.path_router_decomposition(*stage.paths), space), _SIGN_NOTE
+        return [CompiledOp("o_cps", el.element_column(el.oam_sorter(*stage.paths), space))]
+    return _element_ops(gates.path_router_decomposition(*stage.paths), space)
 
 
 def _build_oh(stage: Stage, impl: str, space: ModeSpace):
     if impl == "canonical":
-        return [CompiledOp("oh", gates.oam_hadamard_column(stage.paths))], _SIGN_NOTE
+        return [CompiledOp("oh", gates.oam_hadamard_column(stage.paths))]
     elements = [e for p in stage.paths for e in gates.oam_hadamard_decomposition(p, ANCILLA_PATH)]
-    return _element_ops(elements, space), f"{_SIGN_NOTE}; uses ancilla path {ANCILLA_PATH}"
+    return _element_ops(elements, space)
 
 
 def _build_dp_stage(stage: Stage, impl: str, space: ModeSpace):
     if impl == "canonical":
-        return [CompiledOp("dp_stage", gates.oam_flip_column(stage.paths))], ""
-    note = "exact on the pol/OAM-correlated subspace it is placed after"
-    return _element_ops(gates.oam_flip_decomposition(stage.paths), space), note
+        return [CompiledOp("dp_stage", gates.oam_flip_column(stage.paths))]
+    return _element_ops(gates.oam_flip_decomposition(stage.paths), space)
 
 
 #: every stage kind, in the order diagnostics list them

@@ -17,7 +17,8 @@ amplitudes on the parked light do not cancel.  ``validate`` compiles every
 plan the CLI can run and reads its issues off the same pushes.
 ``assemble`` builds dense per-photon matrices for the same plan, one
 sparse row update per op from the op's nonzero entries, so the two
-evolutions can be cross-checked.
+evolutions can be cross-checked.  Both follow one rule for light an op
+cannot take: the push parks it, and its dense column is zero from that op on.
 
 The dense form is kept factored as (U_A, U_B): the joint operator is
 their Kronecker product, which is only materialized on request.  A
@@ -34,7 +35,7 @@ import numpy as np
 
 from .circuit import ANCILLA_PATH, PHOTONS, STAGE_KINDS, Circuit, CompiledOp
 from .elements import SIGN_DOMAIN, ColumnFn
-from .errors import BellSimError, DimensionCap, LeakedAmplitude, OamOverflow, UnsortableOam
+from .errors import BellSimError, DimensionCap, LeakedAmplitude, UnsortableOam
 from .state import DROP_EPS, POLARIZATIONS, BasisMode, ModeSpace, TwoPhotonState, _clean
 
 __all__ = [
@@ -75,7 +76,6 @@ class CompiledStage:
     impl: str
     label: str
     ops: tuple[CompiledOp, ...]
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -134,10 +134,10 @@ def compile_circuit(circuit: Circuit, impl_override: str | None = None) -> Plan:
                 sppm_impl[stage.paths[0]] = impl
             continue
         try:
-            ops, note = build(stage, impl, space)
+            ops = build(stage, impl, space)
         except BellSimError as exc:
             raise type(exc)(f"stage {idx + 1} ({label}): {exc}") from exc
-        compiled.append(CompiledStage(idx, stage.kind, stage.photon, impl, label, tuple(ops), note))
+        compiled.append(CompiledStage(idx, stage.kind, stage.photon, impl, label, tuple(ops)))
 
     if not any(origins.values()):
         for photon in PHOTONS:
@@ -468,7 +468,6 @@ class StageMatrixRecord:
     impl: str
     label: str
     unitarity_residual: float
-    note: str = ""
 
 
 def _mode_index(space: ModeSpace) -> tuple[list[BasisMode], dict[BasisMode, int]]:
@@ -481,17 +480,13 @@ def _mode_index(space: ModeSpace) -> tuple[list[BasisMode], dict[BasisMode, int]
 class AssembledUnitary:
     """Factored dense operator: joint action is kron(u_a, u_b).
 
-    ``valid_a``/``valid_b`` mark basis columns on which the factors are
-    genuinely unitary; columns killed by OAM overflow are zero and
-    excluded, columns inside a sign-domain device's identity fallback are
-    included (the fallback is itself unitary).
+    Column j of ``u_a`` (``u_b``) is ``_push``'s final image of basis mode j
+    for photon A (B): light an op cannot take is zero from that op on.
     """
 
     space: ModeSpace
     u_a: np.ndarray
     u_b: np.ndarray
-    valid_a: np.ndarray
-    valid_b: np.ndarray
     records: tuple[StageMatrixRecord, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
@@ -551,32 +546,27 @@ class _SparseOp(NamedTuple):
     heads: np.ndarray  # rows with an entry that are not identity rows
     empty: np.ndarray  # rows with no entry at all
     slots: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # (positions, cols, coeffs)
-    valid: np.ndarray  # per source column: False where it overflows
+    valid: np.ndarray  # per source column: False where the column raises
     moved: np.ndarray  # per source column: True unless it is its own unit column
-    note: str
 
 
 def _sparse_op(column: ColumnFn, modes: list[BasisMode], index: dict[BasisMode, int]) -> _SparseOp:
     """One pass of a column operator over the basis.
 
-    Repeated output modes accumulate.  Columns whose source mode
-    overflows the OAM bound are empty and flagged invalid; columns a
-    sign-domain device cannot sort fall back to identity and are noted.
+    Repeated output modes accumulate.  A column that raises (the light
+    ``_push`` parks: an OAM overflow, OAM a sign-domain device cannot sort)
+    is empty and flagged invalid.
     """
     rows: list[int] = []
     cols: list[int] = []
     coeffs: list[complex] = []
     valid = np.ones(len(modes), dtype=bool)
-    note = ""
     for j, mode in enumerate(modes):
         try:
             image = column(mode)
-        except OamOverflow:
+        except BellSimError:
             valid[j] = False
             continue
-        except UnsortableOam:
-            image = [(mode, 1.0 + 0.0j)]
-            note = "identity fallback outside the sortable OAM domain"
         for out_mode, coeff in image:
             rows.append(index[out_mode])
             cols.append(j)
@@ -597,7 +587,7 @@ def _sparse_op(column: ColumnFn, modes: list[BasisMode], index: dict[BasisMode, 
     slot = np.arange(len(r)) - np.searchsorted(r, r)  # rank of each entry within its row
     pos = np.searchsorted(heads, r)
     slots = tuple((pos[slot == s], c[slot == s], k[slot == s]) for s in np.unique(slot))
-    return _SparseOp(heads, np.flatnonzero(count == 0), slots, valid, moved, note)
+    return _SparseOp(heads, np.flatnonzero(count == 0), slots, valid, moved)
 
 
 def _apply_rows(op: _SparseOp, mat: np.ndarray) -> None:
@@ -609,20 +599,19 @@ def _apply_rows(op: _SparseOp, mat: np.ndarray) -> None:
     mat[op.heads] = sums
 
 
-def _unitarity_residual(mat: np.ndarray, valid: np.ndarray) -> float:
-    if not valid.any():
-        return 0.0
-    sub = mat[:, valid]
-    gram = sub.conj().T @ sub
-    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+def _unitarity_residual(mat: np.ndarray) -> float:
+    gram = mat.conj().T @ mat
+    return float(np.max(np.abs(gram - np.eye(gram.shape[0])), initial=0.0))
 
 
 def assemble(plan: Plan) -> AssembledUnitary:
     """Dense per-photon matrices for a plan, with per-stage unitarity checks.
 
-    A stage's residual, max |G - I| for the Gram G of its valid columns, is
-    taken on the columns its ops move: any other column, and its row, is the
-    unit one in every op of the stage, so its Gram row is the identity row.
+    Column j of a photon's matrix is ``_push``'s final image of basis mode j:
+    light an op cannot take is zero from that op on.  A stage's residual,
+    max |G - I| for the Gram G of the columns no op of the stage rejects, is
+    taken on those its ops move: any other column, and its row, is the unit
+    one in every op of the stage, so its Gram row is the identity row.
 
     Raises:
         DimensionCap: if the per-photon dimension exceeds ``MAX_PHOTON_DIMENSION``.
@@ -634,33 +623,16 @@ def assemble(plan: Plan) -> AssembledUnitary:
         )
     modes, index = _mode_index(plan.space)
     totals = {p: np.eye(dim, dtype=np.complex128) for p in PHOTONS}
-    valids = {p: np.ones(dim, dtype=bool) for p in PHOTONS}
     records = []
     for cs in plan.stages:
         ops = [_sparse_op(op.column, modes, index) for op in cs.ops]
-        moved = np.flatnonzero(np.any([sparse.moved for sparse in ops], axis=0))
-        block = np.zeros((dim, len(moved)), dtype=np.complex128)
-        block[moved, np.arange(len(moved))] = 1.0
-        stage_valid = np.ones(dim, dtype=bool)
-        notes = [cs.note] if cs.note else []
+        valid = np.all([sparse.valid for sparse in ops], axis=0)  # no op of the stage rejects it
+        cols = np.flatnonzero(valid & np.any([sparse.moved for sparse in ops], axis=0))
+        block = np.zeros((dim, len(cols)), dtype=np.complex128)
+        block[cols, np.arange(len(cols))] = 1.0
         for sparse in ops:
             _apply_rows(sparse, block)
             _apply_rows(sparse, totals[cs.photon])
-            stage_valid &= sparse.valid
-            if sparse.note and sparse.note not in notes:
-                notes.append(sparse.note)
-        residual = _unitarity_residual(block, stage_valid[moved])
-        records.append(
-            StageMatrixRecord(
-                cs.index, cs.kind, cs.photon, cs.impl, cs.label, residual, "; ".join(notes)
-            )
-        )
-        valids[cs.photon] &= stage_valid
-    return AssembledUnitary(
-        space=plan.space,
-        u_a=totals["A"],
-        u_b=totals["B"],
-        valid_a=valids["A"],
-        valid_b=valids["B"],
-        records=tuple(records),
-    )
+        residual = _unitarity_residual(block)
+        records.append(StageMatrixRecord(cs.index, cs.kind, cs.photon, cs.impl, cs.label, residual))
+    return AssembledUnitary(space=plan.space, u_a=totals["A"], u_b=totals["B"], records=tuple(records))

@@ -32,8 +32,9 @@ class BellSimError(Exception):
 class OamOverflow(BellSimError):
     """An operation tried to push an OAM index beyond the truncation bound.
 
-    Raised eagerly: the amplitude is never silently wrapped or dropped in
-    sparse propagation.
+    The amplitude is never silently wrapped.  Propagation parks the light
+    and raises only if a state reaches it; the dense oracle's column for it
+    is zero from that op on.
     """
 
 

@@ -294,6 +294,16 @@ def test_stages_with_an_orthogonal_checkpoint(capsys, tmp_path, impl):
     assert payload["ok"] is False
 
 
+def test_stages_with_no_checkpoint_fails(capsys):
+    """Only the four sppm markers: nothing is compared, so nothing passes."""
+    argv = ["stages", "--input", "phi+", "--circuit", str(DATA / "no_checkpoints.circ")]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (1, "input: phi+\nall checkpoints within 1e-10: NO\n", "")
+    code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 1
+    assert json.loads(out) == {"input": "phi+", "checkpoints": [], "ok": False}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
