@@ -280,11 +280,8 @@ def _parse_value(tag: str, text: str, lineno: int, col: int):
 
 def _format_value(value) -> str:
     if isinstance(value, PiAngle):
-        coeff = value.coeff
-        if coeff == 0:
-            return "0"
-        sign = "-" if coeff < 0 else ""
-        coeff = abs(coeff)
+        sign = "-" if value.coeff < 0 else ""
+        coeff = abs(value.coeff)
         num = "" if coeff.numerator == 1 else str(coeff.numerator)
         den = "" if coeff.denominator == 1 else f"/{coeff.denominator}"
         return f"{sign}{num}pi{den}"

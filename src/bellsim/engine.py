@@ -15,10 +15,11 @@ take is parked beside its column with the error that parked it; a state
 raises that error, naming its stage and element, only if its joint
 amplitudes on the parked light do not cancel.  ``validate`` compiles every
 plan the CLI can run and reads its issues off the same pushes.
-``assemble`` builds dense per-photon matrices for the same plan, one
-sparse row update per op from the op's nonzero entries, so the two
-evolutions can be cross-checked.  Both follow one rule for light an op
-cannot take: the push parks it, and its dense column is zero from that op on.
+``assemble`` builds dense per-photon matrices for the same plan from entry
+lists, each stage's Gram summed from the same entries with no BLAS call, so
+the two evolutions can be cross-checked.  Both follow one rule for light an
+op cannot take: the push parks it, and its dense column is zero from that
+op on.
 
 The dense form is kept factored as (U_A, U_B): the joint operator is
 their Kronecker product, which is only materialized on request.  A
@@ -535,27 +536,22 @@ class AssembledUnitary:
 
 
 class _SparseOp(NamedTuple):
-    """One op's matrix M, kept as its nonzero entries on the rows it changes.
+    """One op's matrix M as its nonzero entries sorted by source column:
+    column i of M holds ``rows[starts[i]:starts[i + 1]]`` with ``coeffs``."""
 
-    Row ``heads[i]`` of ``M @ mat`` is the sum of ``coeff * mat[col]``
-    over the entries at position ``i``.  The entries are split into slots
-    holding at most one entry per row, so each slot adds in one
-    collision-free step.
-    """
-
-    heads: np.ndarray  # rows with an entry that are not identity rows
-    empty: np.ndarray  # rows with no entry at all
-    slots: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]  # (positions, cols, coeffs)
-    valid: np.ndarray  # per source column: False where the column raises
-    moved: np.ndarray  # per source column: True unless it is its own unit column
+    starts: np.ndarray  # per source column, and one past the last: offset of its entries
+    rows: np.ndarray
+    coeffs: np.ndarray
+    valid: np.ndarray | None  # per source column: False where it raises or leaves the space
+    moved: np.ndarray  # per mode: False where both its column and its row are the unit one
 
 
 def _sparse_op(column: ColumnFn, modes: list[BasisMode], index: dict[BasisMode, int]) -> _SparseOp:
     """One pass of a column operator over the basis.
 
-    Repeated output modes accumulate.  A column that raises (the light
-    ``_push`` parks: an OAM overflow, OAM a sign-domain device cannot sort)
-    is empty and flagged invalid.
+    Repeated output modes accumulate.  Light ``_push`` parks (a column that
+    raises: an OAM overflow, OAM a sign-domain device cannot sort; an output
+    mode outside the space) is dropped, and its source column flagged invalid.
     """
     rows: list[int] = []
     cols: list[int] = []
@@ -568,40 +564,50 @@ def _sparse_op(column: ColumnFn, modes: list[BasisMode], index: dict[BasisMode, 
             valid[j] = False
             continue
         for out_mode, coeff in image:
-            rows.append(index[out_mode])
+            if (row := index.get(out_mode)) is None:
+                valid[j] = False
+                continue
+            rows.append(row)
             cols.append(j)
             coeffs.append(coeff)
     r = np.array(rows, dtype=np.intp)
-    c = np.array(cols, dtype=np.intp)
+    c = np.array(cols, dtype=np.intp)  # ascending: the entries are in source-column order
     k = np.array(coeffs, dtype=np.complex128)
-    count = np.bincount(r, minlength=len(modes))
-    # an identity row holds exactly one entry, a unit one on the diagonal
-    unit = (r == c) & (k == 1.0)
-    identity = (count == 1) & (np.bincount(r[unit], minlength=len(modes)) == 1)
-    heads = np.flatnonzero((count > 0) & ~identity)
-    keep = np.flatnonzero(~identity[r])
-    moved = np.bincount(c, minlength=len(modes)) == 0  # an empty column is a zero column
-    moved[c[keep]] = True
-    keep = keep[np.argsort(r[keep], kind="stable")]
-    r, c, k = r[keep], c[keep], k[keep]
-    slot = np.arange(len(r)) - np.searchsorted(r, r)  # rank of each entry within its row
-    pos = np.searchsorted(heads, r)
-    slots = tuple((pos[slot == s], c[slot == s], k[slot == s]) for s in np.unique(slot))
-    return _SparseOp(heads, np.flatnonzero(count == 0), slots, valid, moved)
+    count = np.bincount(c, minlength=len(modes))
+    # a unit row and column holds exactly one entry, a unit one on the diagonal
+    unit = np.bincount(r[(r == c) & (k == 1.0)], minlength=len(modes)) == 1
+    moved = ~(unit & (count == 1) & (np.bincount(r, minlength=len(modes)) == 1))
+    return _SparseOp(np.concatenate(([0], np.cumsum(count))), r, k, valid, moved)
 
 
-def _apply_rows(op: _SparseOp, mat: np.ndarray) -> None:
-    """``mat <- M @ mat`` in place, rewriting only the rows M changes."""
-    sums = np.zeros((len(op.heads), mat.shape[1]), dtype=mat.dtype)
-    for rows, cols, coeffs in op.slots:
-        sums[rows] += coeffs[:, None] * mat[cols]
-    mat[op.empty] = 0.0
-    mat[op.heads] = sums
+def _merge(width: int, *parts: tuple[np.ndarray, np.ndarray, np.ndarray]):
+    """The (rows, cols, vals) of all parts, summed per (row, col), in row-then-column order."""
+    rows, cols, vals = map(np.concatenate, zip(*parts))
+    keys, at = np.unique(rows * width + cols, return_inverse=True)
+    vals = np.bincount(at, vals.real, len(keys)) + 1j * np.bincount(at, vals.imag, len(keys))
+    return keys // width, keys % width, vals
 
 
-def _unitarity_residual(mat: np.ndarray) -> float:
-    gram = mat.conj().T @ mat
-    return float(np.max(np.abs(gram - np.eye(gram.shape[0])), initial=0.0))
+def _apply(op: _SparseOp, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, width: int):
+    """``M @ mat`` for ``mat`` given by its entries, each on ``width`` columns:
+    an entry in row i becomes column i of M times it, unless M leaves i alone."""
+    hit = op.moved[rows]
+    src = rows[hit]
+    n = op.starts[src + 1] - op.starts[src]
+    at = np.arange(n.sum()) + np.repeat(op.starts[src] - np.cumsum(n) + n, n)  # M's columns src
+    images = op.rows[at], np.repeat(cols[hit], n), np.repeat(vals[hit], n) * op.coeffs[at]
+    return _merge(width, (rows[~hit], cols[~hit], vals[~hit]), images)
+
+
+def _unitarity_residual(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, width: int) -> float:
+    """max |G - I| for the Gram G = B^H B of a block B of ``width`` columns,
+    given by its entries in row order: row r of B, conjugated, is column r
+    of B^H.  A column without entries has no diagonal entry in G: it reads 1."""
+    starts = np.concatenate(([0], np.cumsum(np.bincount(rows))))
+    adjoint = _SparseOp(starts, cols, vals.conj(), None, np.ones(len(starts) - 1, dtype=bool))
+    keys, gram_cols, gram = _apply(adjoint, rows, cols, vals, width)
+    gram[keys == gram_cols] -= 1.0
+    return max(float(np.max(np.abs(gram), initial=0.0)), float(np.sum(keys == gram_cols) < width))
 
 
 def assemble(plan: Plan) -> AssembledUnitary:
@@ -612,27 +618,34 @@ def assemble(plan: Plan) -> AssembledUnitary:
     max |G - I| for the Gram G of the columns no op of the stage rejects, is
     taken on those its ops move: any other column, and its row, is the unit
     one in every op of the stage, so its Gram row is the identity row.
+    Products are (row, col, value) entries that an op rewrites only in the
+    rows it moves; a stage's unit columns ride along as extra columns of its
+    photon's product, and G is summed from their entries row by row.
 
     Raises:
         DimensionCap: if the per-photon dimension exceeds ``MAX_PHOTON_DIMENSION``.
     """
     dim = plan.space.dimension
     if dim > MAX_PHOTON_DIMENSION:
-        raise DimensionCap(
-            f"per-photon dimension {dim} exceeds cap {MAX_PHOTON_DIMENSION}"
-        )
+        raise DimensionCap(f"per-photon dimension {dim} exceeds cap {MAX_PHOTON_DIMENSION}")
     modes, index = _mode_index(plan.space)
-    totals = {p: np.eye(dim, dtype=np.complex128) for p in PHOTONS}
+    diagonal = np.arange(dim)
+    totals = {p: (diagonal, diagonal, np.ones(dim, dtype=np.complex128)) for p in PHOTONS}
     records = []
     for cs in plan.stages:
         ops = [_sparse_op(op.column, modes, index) for op in cs.ops]
         valid = np.all([sparse.valid for sparse in ops], axis=0)  # no op of the stage rejects it
-        cols = np.flatnonzero(valid & np.any([sparse.moved for sparse in ops], axis=0))
-        block = np.zeros((dim, len(cols)), dtype=np.complex128)
-        block[cols, np.arange(len(cols))] = 1.0
+        unit = np.flatnonzero(valid & np.any([sparse.moved for sparse in ops], axis=0))
+        width = dim + len(unit)  # the unit columns are columns dim, dim + 1, ... of the product
+        block = unit, np.arange(dim, width), np.ones(len(unit), dtype=np.complex128)
+        rows, cols, vals = _merge(width, totals[cs.photon], block)
         for sparse in ops:
-            _apply_rows(sparse, block)
-            _apply_rows(sparse, totals[cs.photon])
-        residual = _unitarity_residual(block)
+            rows, cols, vals = _apply(sparse, rows, cols, vals, width)
+        side = cols >= dim
+        totals[cs.photon] = rows[~side], cols[~side], vals[~side]
+        residual = _unitarity_residual(rows[side], cols[side] - dim, vals[side], len(unit))
         records.append(StageMatrixRecord(cs.index, cs.kind, cs.photon, cs.impl, cs.label, residual))
-    return AssembledUnitary(space=plan.space, u_a=totals["A"], u_b=totals["B"], records=tuple(records))
+    dense = {p: np.zeros((dim, dim), dtype=np.complex128) for p in PHOTONS}
+    for p, (rows, cols, vals) in totals.items():
+        dense[p][rows, cols] = vals
+    return AssembledUnitary(space=plan.space, u_a=dense["A"], u_b=dense["B"], records=tuple(records))

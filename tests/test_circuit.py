@@ -61,6 +61,17 @@ def test_printer_is_idempotent():
     assert print_circuit(parse_circuit(once)) == once
 
 
+@pytest.mark.parametrize("token", ["0pi/8", "0pi", "-0pi/8"])
+def test_a_zero_pi_angle_prints_as_a_pi_angle(token):
+    """A zero multiple of pi prints as ``0pi``, which parses back to the same
+    ``PiAngle``; a bare ``0`` would parse back as the float 0.0."""
+    circuit = parse_circuit(f"paths a\nstage hwp photon=A paths=a theta={token}\n")
+    once = print_circuit(circuit)
+    assert "theta=0pi\n" in once
+    assert parse_circuit(once).stages[0].params == {"theta": PiAngle(0)}
+    assert print_circuit(parse_circuit(once)) == once
+
+
 def test_defaults():
     circuit = parse_circuit("paths a\nstage qwp photon=A paths=a\n")
     assert circuit.lmax == 4

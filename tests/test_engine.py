@@ -479,13 +479,15 @@ def test_a_sub_threshold_amplitude_on_parked_light_raises_nothing():
     assert propagate(plan, state).amplitudes == {(_H0X, _H0Y): 1.0 + 0.0j}
 
 
-def test_user_column_to_undeclared_path_raises():
-    def column(mode):
-        return [(BasisMode(mode.pol, mode.oam, "nowhere"), 1.0 + 0.0j)]
+def _to_nowhere(mode):
+    """Every mode to a path the space does not declare."""
+    return [(BasisMode(mode.pol, mode.oam, "nowhere"), 1.0 + 0.0j)]
 
+
+def test_user_column_to_undeclared_path_raises():
     state = TwoPhotonState(_HAND_SPACE, {(_H0X, _H0Y): 1.0 + 0.0j})
     with pytest.raises(UnknownPath) as info:
-        propagate(_hand_plan(column), state)
+        propagate(_hand_plan(_to_nowhere), state)
     assert str(info.value) == "stage 1 (custom), element e1: path 'nowhere' is not declared (have ['x', 'y'])"
 
 
@@ -738,6 +740,25 @@ def test_stage_residuals_match_the_full_stage_gram(impl):
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
 
 
+@pytest.mark.parametrize("impl", ["canonical", "decomposed"])
+def test_assembly_matches_the_reference_at_lmax_8(impl):
+    """fig2 at lmax 8, where the entries of one row merge across several
+    chained ops: both matrices and every stage residual against the
+    op-by-op reference."""
+    plan = compile_circuit(dataclasses.replace(FIG2, lmax=8), impl)
+    dense = assemble(plan)
+    stages = list(_reference_stages(plan))
+    mats = {p: np.eye(plan.space.dimension, dtype=complex) for p in PHOTONS}
+    for cs, stage, _ in stages:
+        mats[cs.photon] = stage @ mats[cs.photon]
+    assert np.max(np.abs(dense.u_a - mats["A"])) <= 1e-12
+    assert np.max(np.abs(dense.u_b - mats["B"])) <= 1e-12
+    want = [_gram_residual(stage, valid) for _, stage, valid in stages]
+    got = [r.unitarity_residual for r in dense.records]
+    assert len(got) == len(want)
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-15
+
+
 def _absorbs_v(mode):
     """V on x goes nowhere: an empty column that is still a valid one."""
     return [] if mode == _V0X else [(mode, 1.0 + 0.0j)]
@@ -794,9 +815,9 @@ def test_dense_columns_are_the_pushes_on_fig2(impl):
 @pytest.mark.parametrize(
     "columns",
     [(_rejects_v,), (_hadamard, _rejects_v), (_overflows_v,), (_swaps_x, _overflows_v),
-     (_absorbs_v,), (_swaps_x, _absorbs_v), (_merges_x,)],
+     (_absorbs_v,), (_swaps_x, _absorbs_v), (_merges_x,), (_to_nowhere,)],
     ids=["rejected", "mixed-then-rejected", "overflowed", "moved-then-overflowed",
-         "absorbed", "moved-then-absorbed", "merged"],
+         "absorbed", "moved-then-absorbed", "merged", "to-undeclared-path"],
 )
 def test_dense_columns_are_the_pushes_on_hand_plans(columns):
     _assert_dense_columns_are_the_pushes(_hand_plan(*columns))
