@@ -14,191 +14,25 @@ The package is layered bottom-up:
 - ``measurement``: sorter blocks and coincidence-pattern distributions
 - ``analyzer``: Bell inputs, the 64-pattern classification table, and
   end-to-end verification
+
+Each module's ``__all__`` names what the package re-exports from it; the
+other module-level names are imported from their module.
 """
 
-from .errors import (
-    BellSimError,
-    CalibrationFailure,
-    CircuitSemanticError,
-    CircuitSyntaxError,
-    DimensionCap,
-    DimensionMismatch,
-    LeakedAmplitude,
-    MalformedPattern,
-    NonPhysicalQ,
-    OamOverflow,
-    SamePath,
-    UnknownPath,
-    UnsortableOam,
-    ZeroNorm,
-)
-from .state import (
-    BasisMode,
-    ModeSpace,
-    PhotonState,
-    TwoPhotonState,
-    basis_state,
-    circular_state,
-    equal_up_to_global_phase,
-    fidelity,
-    global_phase_between,
-    max_amplitude_difference,
-    superpose,
-    tensor,
-)
-from .elements import (
-    Element,
-    apply_element,
-    apply_elements,
-    bs,
-    dl,
-    dp,
-    element_column,
-    hwp,
-    mirror,
-    oam_sorter,
-    pbs,
-    pp,
-    qp,
-    qwp,
-    spp,
-)
-from .gates import (
-    EquivalenceReport,
-    gate_equiv,
-    hadamard_row_report,
-    oam_flip_decomposition,
-    oam_hadamard_decomposition,
-    path_router_decomposition,
-    path_router_stage_groups,
-    pol_shift_decomposition,
-)
-from .circuit import (
-    Circuit,
-    Stage,
-    builtin_document,
-    parse_circuit,
-    print_circuit,
-)
-from .engine import (
-    AssembledUnitary,
-    Plan,
-    ValidationReport,
-    assemble,
-    compile_circuit,
-    propagate,
-    propagate_with_checkpoints,
-    restrict_to_circuit,
-    validate,
-)
-from .measurement import (
-    CoincidencePattern,
-    DetectorId,
-    OutcomeDistribution,
-    enumerate_patterns,
-    parse_pattern,
-    sppm_project,
-)
-from .analyzer import (
-    BELL_LABELS,
-    CLASSIFICATION_TABLE,
-    OracleReport,
-    VerificationReport,
-    analyze,
-    classify,
-    classify_by_parity,
-    default_circuit,
-    oracle_check,
-    prepare_input,
-    stage_states,
-    tamper_table,
-    verify,
-)
+from .errors import *
+from .state import *
+from .elements import *
+from .gates import *
+from .circuit import *
+from .engine import *
+from .measurement import *
+from .analyzer import *
+from . import analyzer, circuit, elements, engine, errors, gates, measurement, state
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BellSimError",
-    "CalibrationFailure",
-    "CircuitSemanticError",
-    "CircuitSyntaxError",
-    "DimensionCap",
-    "DimensionMismatch",
-    "LeakedAmplitude",
-    "MalformedPattern",
-    "NonPhysicalQ",
-    "OamOverflow",
-    "SamePath",
-    "UnknownPath",
-    "UnsortableOam",
-    "ZeroNorm",
-    "BasisMode",
-    "ModeSpace",
-    "PhotonState",
-    "TwoPhotonState",
-    "basis_state",
-    "circular_state",
-    "equal_up_to_global_phase",
-    "fidelity",
-    "global_phase_between",
-    "max_amplitude_difference",
-    "superpose",
-    "tensor",
-    "Element",
-    "apply_element",
-    "apply_elements",
-    "bs",
-    "dl",
-    "dp",
-    "element_column",
-    "hwp",
-    "mirror",
-    "oam_sorter",
-    "pbs",
-    "pp",
-    "qp",
-    "qwp",
-    "spp",
-    "EquivalenceReport",
-    "gate_equiv",
-    "hadamard_row_report",
-    "oam_flip_decomposition",
-    "oam_hadamard_decomposition",
-    "path_router_decomposition",
-    "path_router_stage_groups",
-    "pol_shift_decomposition",
-    "Circuit",
-    "Stage",
-    "ValidationReport",
-    "builtin_document",
-    "parse_circuit",
-    "print_circuit",
-    "validate",
-    "AssembledUnitary",
-    "Plan",
-    "assemble",
-    "compile_circuit",
-    "propagate",
-    "propagate_with_checkpoints",
-    "restrict_to_circuit",
-    "CoincidencePattern",
-    "DetectorId",
-    "OutcomeDistribution",
-    "enumerate_patterns",
-    "parse_pattern",
-    "sppm_project",
-    "BELL_LABELS",
-    "CLASSIFICATION_TABLE",
-    "OracleReport",
-    "VerificationReport",
-    "analyze",
-    "classify",
-    "classify_by_parity",
-    "default_circuit",
-    "oracle_check",
-    "prepare_input",
-    "stage_states",
-    "tamper_table",
-    "verify",
-    "__version__",
-]
+    name
+    for module in (errors, state, elements, gates, circuit, engine, measurement, analyzer)
+    for name in module.__all__
+] + ["__version__"]

@@ -54,22 +54,16 @@ from .state import (
 __all__ = [
     "BELL_LABELS",
     "CLASSIFICATION_TABLE",
-    "classification_rows",
     "classify",
-    "classify_by_parity",
     "tamper_table",
     "default_circuit",
     "prepare_input",
-    "reference_stage_states",
-    "StageRecord",
     "stage_states",
     "analyze",
-    "LabelReport",
     "VerificationReport",
     "verify",
     "OracleReport",
     "oracle_check",
-    "ORACLE_SEED",
 ]
 
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
@@ -174,16 +168,6 @@ def classify(
         raise MalformedPattern(
             f"pattern {pattern} is not in the classification table"
         ) from None
-
-
-def classify_by_parity(pattern: CoincidencePattern) -> str:
-    """Structural restatement of the table: origin parity picks phi/psi,
-    (equal signs) == (equal polarizations) picks the + branch."""
-    det_a, det_b = pattern
-    straight = (det_a.origin, det_b.origin) in _STRAIGHT
-    plus = (det_a.oam_sign == det_b.oam_sign) == (det_a.pol == det_b.pol)
-    family = "phi" if straight else "psi"
-    return family + ("+" if plus else "-")
 
 
 def tamper_table(

@@ -38,20 +38,11 @@ from .errors import CircuitSemanticError, CircuitSyntaxError
 from .state import DEFAULT_LMAX, ModeSpace
 
 __all__ = [
-    "PiAngle",
-    "angle_value",
     "Stage",
     "Circuit",
-    "Param",
-    "CompiledOp",
-    "KindSpec",
-    "STAGE_KINDS",
-    "ANCILLA_PATH",
     "parse_circuit",
     "print_circuit",
-    "BUILTIN_CIRCUITS",
     "builtin_document",
-    "FIG2_NAME",
 ]
 
 #: the two photons every circuit carries, in print order

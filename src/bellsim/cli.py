@@ -133,7 +133,7 @@ def _load_circuit(args) -> Circuit:
         origin = ref
     else:
         try:
-            with open(ref, "r", encoding="utf-8") as fh:
+            with open(ref, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
         except OSError as exc:
             raise _Usage(f"cannot read circuit {ref!r}: {exc}") from exc

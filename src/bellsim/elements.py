@@ -56,7 +56,6 @@ from .state import (
 
 __all__ = [
     "Element",
-    "ColumnFn",
     "qwp",
     "hwp",
     "qp",
@@ -68,12 +67,7 @@ __all__ = [
     "pbs",
     "oam_sorter",
     "dl",
-    "TWO_PATH_KINDS",
-    "SIGN_DOMAIN",
-    "qp_shift",
-    "ACTIONS",
     "element_column",
-    "apply_column",
     "apply_element",
     "apply_elements",
 ]

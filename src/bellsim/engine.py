@@ -22,8 +22,8 @@ op cannot take: the push parks it, and its dense column is zero from that
 op on.
 
 The dense form is kept factored as (U_A, U_B): the joint operator is
-their Kronecker product, which is only materialized on request.  A
-per-photon dimension cap guards against accidentally huge spaces.
+their Kronecker product, applied one state at a time.  A per-photon
+dimension cap guards against accidentally huge spaces.
 """
 
 from __future__ import annotations
@@ -40,27 +40,19 @@ from .errors import BellSimError, DimensionCap, LeakedAmplitude, UnsortableOam
 from .state import DROP_EPS, POLARIZATIONS, BasisMode, ModeSpace, TwoPhotonState, _clean
 
 __all__ = [
-    "CompiledOp",
-    "CompiledStage",
     "Plan",
     "compile_circuit",
-    "ValidationIssue",
     "ValidationReport",
     "validate",
     "propagate",
     "propagate_with_checkpoints",
     "restrict_to_circuit",
-    "StageMatrixRecord",
     "AssembledUnitary",
     "assemble",
-    "MAX_PHOTON_DIMENSION",
-    "ANCILLA_PATH",
 ]
 
 #: per-photon dense dimension guard (the joint space is this squared)
 MAX_PHOTON_DIMENSION = 10_000
-#: largest per-photon dimension for which the joint kron is materialized
-_JOINT_PHOTON_DIMENSION_CAP = 48
 
 #: each photon's measured paths in the analyzer, and a circuit's origins if no sppm stage names any
 DEFAULT_ORIGINS = {"A": ("a1", "b1"), "B": ("a2", "b2")}
@@ -517,22 +509,8 @@ class AssembledUnitary:
         out = {}
         for i, j in zip(*np.nonzero(np.abs(dense) > DROP_EPS)):
             out[(modes[ia[i]], modes[ib[j]])] = complex(dense[i, j])
-        return TwoPhotonState(self.space, out)
-
-    def joint_matrix(self) -> np.ndarray:
-        """Materialized kron(u_a, u_b); guarded, only for small spaces.
-
-        The joint matrix is square of side dimension**2, so even modest
-        per-photon spaces explode (72 -> a 5184x5184 array); the
-        factored form plus :meth:`apply` covers those.
-        """
-        dim = self.space.dimension
-        if dim > _JOINT_PHOTON_DIMENSION_CAP:
-            raise DimensionCap(
-                f"joint matrix would be {dim * dim}x{dim * dim}; "
-                f"per-photon dimension {dim} exceeds the {_JOINT_PHOTON_DIMENSION_CAP} cap"
-            )
-        return np.kron(self.u_a, self.u_b)
+        # every output mode is one of space.modes(), so nothing is re-checked
+        return TwoPhotonState._trusted(self.space, out)
 
 
 class _SparseOp(NamedTuple):

@@ -18,7 +18,6 @@ equals the routed one on every state.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -31,14 +30,10 @@ from .state import POL_H, POL_V, POLARIZATIONS, BasisMode, ModeSpace, PhotonStat
 __all__ = [
     "DetectorId",
     "CoincidencePattern",
-    "parse_detector",
     "parse_pattern",
-    "detectors_for_origins",
     "enumerate_patterns",
     "OutcomeDistribution",
-    "sppm_front_elements",
     "sppm_project",
-    "PROBABILITY_TOL",
 ]
 
 PROBABILITY_TOL = 1e-10
@@ -162,20 +157,6 @@ class OutcomeDistribution:
         ps, qs = self.probs, other.probs
         only_other = sum(q for k, q in qs.items() if k not in ps)
         return 0.5 * (sum(abs(p - qs.get(k, 0.0)) for k, p in ps.items()) + only_other)
-
-    def to_text(self) -> str:
-        return "".join(f"{pattern}  {p:.12g}\n" for pattern, p in self.items_ordered())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "origins": {"A": list(self.origins_a), "B": list(self.origins_b)},
-            "probabilities": {
-                str(pattern): p for pattern, p in self.items_ordered()
-            },
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
 # -- sorter front ends --------------------------------------------------

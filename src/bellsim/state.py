@@ -25,24 +25,17 @@ from typing import Iterable, NamedTuple, Union
 from .errors import DimensionMismatch, OamOverflow, UnknownPath, ZeroNorm
 
 __all__ = [
-    "POL_H",
-    "POL_V",
-    "POLARIZATIONS",
-    "DROP_EPS",
-    "NORM_TOL",
-    "DEFAULT_LMAX",
-    "CIRCULAR_EXPANSION",
     "BasisMode",
     "ModeSpace",
     "PhotonState",
     "TwoPhotonState",
     "basis_state",
+    "circular_state",
     "superpose",
     "tensor",
     "fidelity",
-    "equal_up_to_global_phase",
+    "global_phase_between",
     "max_amplitude_difference",
-    "marginal_probabilities",
 ]
 
 POL_H = "H"
@@ -285,11 +278,6 @@ def fidelity(x: State, y: State) -> float:
     return abs(_overlap(x, y)) ** 2
 
 
-def equal_up_to_global_phase(x: State, y: State, tol: float = 1e-10) -> bool:
-    """True when the states differ by at most one overall unit phase."""
-    return fidelity(x, y) >= 1.0 - tol
-
-
 def max_amplitude_difference(x: State, y: State) -> float:
     """Exact-phase comparison: max |x_m - y_m| over the union of modes.
 
@@ -310,22 +298,6 @@ def global_phase_between(x: State, y: State) -> complex:
     if abs(ov) < NORM_TOL:
         raise ZeroNorm("states are orthogonal; no relating phase")
     return ov / abs(ov)
-
-
-def marginal_probabilities(state: TwoPhotonState, photon: str) -> dict[BasisMode, float]:
-    """Born probabilities of one photon, the other traced out.
-
-    Args:
-        photon: "A" (first factor) or "B" (second factor).
-    """
-    if photon not in ("A", "B"):
-        raise ValueError("photon must be 'A' or 'B'")
-    sel = 0 if photon == "A" else 1
-    probs: dict[BasisMode, float] = {}
-    for pair, amp in state.amplitudes.items():
-        mode = pair[sel]
-        probs[mode] = probs.get(mode, 0.0) + abs(amp) ** 2
-    return probs
 
 
 def circular_state(space: ModeSpace, which: str, oam: int, path: str) -> PhotonState:

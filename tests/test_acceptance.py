@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hadamard_rows import hadamard_row_report
 
 from bellsim.analyzer import (
     BELL_LABELS,
@@ -45,7 +46,6 @@ from bellsim.elements import (
 from bellsim.errors import CircuitSemanticError, CircuitSyntaxError
 from bellsim.gates import (
     gate_equiv,
-    hadamard_row_report,
     oam_flip_column,
     oam_hadamard_column,
     oam_hadamard_decomposition,
@@ -59,7 +59,7 @@ from bellsim.state import (
     ModeSpace,
     PhotonState,
     basis_state,
-    equal_up_to_global_phase,
+    fidelity,
     max_amplitude_difference,
 )
 
@@ -288,7 +288,7 @@ def test_acceptance_7_element_algebra():
 
         # four quarter-wave passes close the loop (up to a global phase)
         qwp4 = apply_elements(x0, [qwp("x")] * 4)
-        assert equal_up_to_global_phase(qwp4, x0, tol=EXACT)
+        assert fidelity(qwp4, x0) >= 1 - EXACT
 
         # a half-wave plate is its own inverse
         st = apply_elements(

@@ -10,7 +10,6 @@ from bellsim.analyzer import (
     analyze_state,
     classification_rows,
     classify,
-    classify_by_parity,
     default_circuit,
     oracle_check,
     prepare_input,
@@ -39,6 +38,15 @@ def test_table_is_a_disjoint_cover():
     for label in CLASSIFICATION_TABLE.values():
         counts[label] += 1
     assert counts == {label: 16 for label in BELL_LABELS}
+
+
+def classify_by_parity(pattern):
+    """Structural restatement of the table: origin parity picks phi/psi,
+    (equal signs) == (equal polarizations) picks the + branch."""
+    det_a, det_b = pattern
+    straight = (det_a.origin, det_b.origin) in {("a1", "a2"), ("b1", "b2")}
+    plus = (det_a.oam_sign == det_b.oam_sign) == (det_a.pol == det_b.pol)
+    return ("phi" if straight else "psi") + ("+" if plus else "-")
 
 
 def test_table_matches_parity_rule():

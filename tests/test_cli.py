@@ -144,6 +144,15 @@ def test_describe_custom_circuit(capsys):
     assert "-- validation --" in out
 
 
+def test_describe_reads_a_file_that_starts_with_a_bom(capsys, tmp_path):
+    path = tmp_path / "fig2_bom.circ"
+    path.write_text(builtin_document("fig2"), encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    code, out, err = run_cli(capsys, ["describe", "--circuit", str(path)])
+    assert code == 0, err
+    assert out == (GOLDEN / "describe_fig2.txt").read_text()
+
+
 def test_describe_validation_failure(capsys):
     code, out, _ = run_cli(
         capsys, ["describe", "--circuit", str(DATA / "overflow.circ")]

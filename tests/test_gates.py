@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hadamard_rows import hadamard_row_report
 
 from bellsim.elements import (
     apply_column,
@@ -26,7 +27,6 @@ from bellsim.elements import (
 from bellsim.errors import UnsortableOam
 from bellsim.gates import (
     gate_equiv,
-    hadamard_row_report,
     oam_flip_column,
     oam_flip_decomposition,
     oam_hadamard_column,

@@ -1,4 +1,3 @@
-import json
 import math
 import re
 
@@ -116,20 +115,6 @@ def test_tvd_counts_the_keys_of_both_sides():
     assert first.tvd(second) == second.tvd(first) == 0.5
     disjoint = OutcomeDistribution(("a1",), ("a2",), {patterns[2]: 1.0})
     assert first.tvd(disjoint) == disjoint.tvd(first) == 1.0
-
-
-def test_distribution_text_format():
-    dist = _uniform_dist()
-    lines = dist.to_text().splitlines()
-    assert len(lines) == 16
-    assert lines[0] == "D[-1,H,a1] & D[-1,H,a2]  0.0625"
-
-
-def test_distribution_json_format():
-    payload = json.loads(_uniform_dist().to_json())
-    assert payload["origins"] == {"A": ["a1"], "B": ["a2"]}
-    assert payload["probabilities"]["D[+1,V,a1] & D[+1,V,a2]"] == pytest.approx(1 / 16)
-    assert len(payload["probabilities"]) == 16
 
 
 # -- projection ---------------------------------------------------------
