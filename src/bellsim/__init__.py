@@ -11,6 +11,8 @@ The package is layered bottom-up:
 - ``circuit``: text format, canonical printer, the stage-kind table
 - ``engine``: compilation, static validation of the compiled plans,
   sparse propagation, dense matrix oracle
+- ``blocks``: every op kind restated from the physics as a dense block
+  for the oracle
 - ``measurement``: sorter blocks and coincidence-pattern distributions
 - ``analyzer``: Bell inputs, the 64-pattern classification table, and
   end-to-end verification

@@ -608,9 +608,9 @@ def oracle_check(
     meas_impl = _measurement_impl(plan)
     worst_state = 0.0
     worst_tvd = 0.0
-    for state in inputs:
+    for state, applied in zip(inputs, dense.apply_all(inputs)):
         sparse_out = propagate(plan, state)
-        dense_out = restrict_to_circuit(plan, dense.apply(state), "dense oracle output")
+        dense_out = restrict_to_circuit(plan, applied, "dense oracle output")
         worst_state = max(worst_state, max_amplitude_difference(sparse_out, dense_out))
         dist_sparse = sppm_project(sparse_out, plan.origins["A"], plan.origins["B"], meas_impl)
         dist_dense = sppm_project(dense_out, plan.origins["A"], plan.origins["B"], meas_impl)

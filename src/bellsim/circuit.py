@@ -109,8 +109,14 @@ class Param(NamedTuple):
 
 @dataclass(frozen=True)
 class CompiledOp:
+    """One single-photon op: its column function, and the record the dense
+    oracle restates it from (the placed element, or a canonical gate's kind,
+    paths and params as an ``Element`` of that kind); ``None`` for a column
+    built in code."""
+
     label: str
     column: ColumnFn
+    spec: el.Element | None = None
 
 
 @dataclass(frozen=True)
@@ -139,7 +145,7 @@ class KindSpec:
 
 
 def _element_ops(elements: list[el.Element], space: ModeSpace) -> list[CompiledOp]:
-    return [CompiledOp(e.describe(), el.element_column(e, space)) for e in elements]
+    return [CompiledOp(e.describe(), el.element_column(e, space), e) for e in elements]
 
 
 def _primitive(name: str, params: tuple[Param, ...], make, sign_domain: bool = False) -> KindSpec:
@@ -156,26 +162,28 @@ def _primitive(name: str, params: tuple[Param, ...], make, sign_domain: bool = F
 def _build_p_cos(stage: Stage, impl: str, space: ModeSpace):
     q = Fraction(stage.params.get("q", Fraction(1, 2)))
     if impl == "canonical":
-        return [CompiledOp(f"p_cos(q={q})", gates.pol_shift_column(q, stage.paths, space))]
+        column = gates.pol_shift_column(q, stage.paths, space)
+        return [CompiledOp(f"p_cos(q={q})", column, el.Element("p_cos", stage.paths, {"q": q}))]
     return _element_ops(gates.pol_shift_decomposition(q, stage.paths), space)
 
 
 def _build_o_cps(stage: Stage, impl: str, space: ModeSpace):
     if impl == "canonical":
-        return [CompiledOp("o_cps", el.element_column(el.oam_sorter(*stage.paths), space))]
+        sorter = el.oam_sorter(*stage.paths)
+        return [CompiledOp("o_cps", el.element_column(sorter, space), sorter)]
     return _element_ops(gates.path_router_decomposition(*stage.paths), space)
 
 
 def _build_oh(stage: Stage, impl: str, space: ModeSpace):
     if impl == "canonical":
-        return [CompiledOp("oh", gates.oam_hadamard_column(stage.paths))]
+        return [CompiledOp("oh", gates.oam_hadamard_column(stage.paths), el.Element("oh", stage.paths))]
     elements = [e for p in stage.paths for e in gates.oam_hadamard_decomposition(p, ANCILLA_PATH)]
     return _element_ops(elements, space)
 
 
 def _build_dp_stage(stage: Stage, impl: str, space: ModeSpace):
     if impl == "canonical":
-        return [CompiledOp("dp_stage", gates.oam_flip_column(stage.paths))]
+        return [CompiledOp("dp_stage", gates.oam_flip_column(stage.paths), el.Element("dp_stage", stage.paths))]
     return _element_ops(gates.oam_flip_decomposition(stage.paths), space)
 
 

@@ -89,7 +89,8 @@ class Element:
 
     Args:
         kind: one of qwp, hwp, qp, spp, dp, pp, mirror, bs, pbs,
-            oam_sorter, dl.
+            oam_sorter, dl; a canonical gate's record for the dense
+            oracle carries its stage kind (p_cos, oh, dp_stage).
         paths: placement; one or more paths for per-path elements, exactly
             two (ordered) for bs/pbs/oam_sorter.
         params: kind-specific parameters (theta, q, l, alpha, phi, pol, oam).

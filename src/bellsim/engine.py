@@ -15,27 +15,29 @@ take is parked beside its column with the error that parked it; a state
 raises that error, naming its stage and element, only if its joint
 amplitudes on the parked light do not cancel.  ``validate`` compiles every
 plan the CLI can run and reads its issues off the same pushes.
-``assemble`` builds dense per-photon matrices for the same plan from entry
-lists, each stage's Gram summed from the same entries with no BLAS call, so
-the two evolutions can be cross-checked.  Both follow one rule for light an
-op cannot take: the push parks it, and its dense column is zero from that
-op on.
+``assemble`` builds dense per-photon matrices for the same plan from each
+op's block in :mod:`bellsim.blocks`: the physics restated, not the column
+functions the pushes run, so the two evolutions check each other.  Each
+stage's Gram is summed from the same entries with no BLAS call.  Both
+follow one rule for light an op cannot take: the push parks it, and its
+dense column is zero from that op on.
 
 The dense form is kept factored as (U_A, U_B): the joint operator is
-their Kronecker product, applied one state at a time.  A per-photon
-dimension cap guards against accidentally huge spaces.
+their Kronecker product, applied to a batch of states in one contraction.
+A per-photon dimension cap guards against accidentally huge spaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 from typing import NamedTuple
 
 import numpy as np
 
+from . import blocks
 from .circuit import ANCILLA_PATH, PHOTONS, STAGE_KINDS, Circuit, CompiledOp
-from .elements import SIGN_DOMAIN, ColumnFn
+from .elements import SIGN_DOMAIN
 from .errors import BellSimError, DimensionCap, LeakedAmplitude, UnsortableOam
 from .state import DROP_EPS, POLARIZATIONS, BasisMode, ModeSpace, TwoPhotonState, _clean
 
@@ -463,10 +465,18 @@ class StageMatrixRecord:
     unitarity_residual: float
 
 
-def _mode_index(space: ModeSpace) -> tuple[list[BasisMode], dict[BasisMode, int]]:
-    """Dense basis order and its inverse, built once per matrix."""
-    modes = space.modes()
-    return modes, {mode: i for i, mode in enumerate(modes)}
+def _sum_of_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` for stacked complex ``x`` or ``y``, each entry's terms added
+    in index order (``accumulate``) in real arithmetic: an entry is rounded
+    by its own terms alone, so inner indices where its terms are zero change
+    nothing (a BLAS call may fuse or regroup a sum by the shapes it is given)."""
+    xr, xi = x.real[..., None], x.imag[..., None]
+    yr, yi = y.real[..., None, :, :], y.imag[..., None, :, :]
+    out = np.zeros(np.broadcast_shapes(x.shape[:-1] + (1,), y.shape[:-2] + (1, y.shape[-1])), dtype=np.complex128)
+    if x.shape[-1]:
+        out.real = np.add.accumulate(xr * yr - xi * yi, axis=-2)[..., -1, :]
+        out.imag = np.add.accumulate(xr * yi + xi * yr, axis=-2)[..., -1, :]
+    return out
 
 
 @dataclass
@@ -483,34 +493,43 @@ class AssembledUnitary:
     records: tuple[StageMatrixRecord, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        self._modes, self._index = _mode_index(self.space)
+        self._modes = self.space.modes()
+        self._index = {mode: i for i, mode in enumerate(self._modes)}
 
     def apply(self, state: TwoPhotonState) -> TwoPhotonState:
-        """``u_a @ psi @ u_b.T``, multiplying only where the input and its image live."""
-        if state.space != self.space:
-            state = state.with_space(self.space)
-        n = len(state.amplitudes)
-        rows = np.empty(n, dtype=np.intp)
-        cols = np.empty(n, dtype=np.intp)
-        amps = np.empty(n, dtype=np.complex128)
-        for k, ((ma, mb), amp) in enumerate(state.amplitudes.items()):
-            rows[k], cols[k], amps[k] = self._index[ma], self._index[mb], amp
-        ra, rows = np.unique(rows, return_inverse=True)
-        rb, cols = np.unique(cols, return_inverse=True)
-        small = np.zeros((len(ra), len(rb)), dtype=np.complex128)
-        small[rows, cols] = amps
-        left = self.u_a[:, ra] @ small
-        right = self.u_b[:, rb]
-        # rows of either factor that are zero give zero output rows/columns
-        ia = np.flatnonzero(left.any(axis=1))
-        ib = np.flatnonzero(right.any(axis=1))
-        dense = left[ia] @ right[ib].T
+        """``apply_all`` on one state."""
+        return self.apply_all([state])[0]
+
+    def apply_all(self, states: "list[TwoPhotonState]") -> "list[TwoPhotonState]":
+        """``u_a @ psi_k @ u_b.T`` for every input k in one contraction: each
+        psi_k is stacked over the union S_A x S_B of the inputs' modes, and
+        only the rows that ``u_a[:, S_A]`` and ``u_b[:, S_B]`` reach are formed."""
+        k, a, b, amps = [], [], [], []
+        for n, state in enumerate(states):
+            if state.space != self.space:
+                state = state.with_space(self.space)
+            for (ma, mb), amp in state.amplitudes.items():
+                k.append(n)
+                a.append(self._index[ma])
+                b.append(self._index[mb])
+                amps.append(amp)
+        s_a, a = np.unique(np.array(a, dtype=np.intp), return_inverse=True)
+        s_b, b = np.unique(np.array(b, dtype=np.intp), return_inverse=True)
+        psi = np.zeros((len(states), len(s_a), len(s_b)), dtype=np.complex128)
+        psi[k, a, b] = amps
+        left, right = self.u_a[:, s_a], self.u_b[:, s_b]
+        ia, ib = np.flatnonzero(left.any(axis=1)), np.flatnonzero(right.any(axis=1))
+        dense = _sum_of_products(_sum_of_products(left[ia], psi), right[ib].T)
+        hit = np.abs(dense) > DROP_EPS
+        at, rows, cols = np.nonzero(hit)
         modes = self._modes
-        out = {}
-        for i, j in zip(*np.nonzero(np.abs(dense) > DROP_EPS)):
-            out[(modes[ia[i]], modes[ib[j]])] = complex(dense[i, j])
+        keys = zip([modes[i] for i in ia[rows].tolist()], [modes[j] for j in ib[cols].tolist()])
+        values = iter(zip(keys, dense[hit].tolist()))
         # every output mode is one of space.modes(), so nothing is re-checked
-        return TwoPhotonState._trusted(self.space, out)
+        return [
+            TwoPhotonState._trusted(self.space, dict(islice(values, count)))
+            for count in np.bincount(at, minlength=len(states)).tolist()
+        ]
 
 
 class _SparseOp(NamedTuple):
@@ -520,42 +539,18 @@ class _SparseOp(NamedTuple):
     starts: np.ndarray  # per source column, and one past the last: offset of its entries
     rows: np.ndarray
     coeffs: np.ndarray
-    valid: np.ndarray | None  # per source column: False where it raises or leaves the space
+    valid: np.ndarray | None  # per source column: False where the op cannot take it
     moved: np.ndarray  # per mode: False where both its column and its row are the unit one
 
 
-def _sparse_op(column: ColumnFn, modes: list[BasisMode], index: dict[BasisMode, int]) -> _SparseOp:
-    """One pass of a column operator over the basis.
-
-    Repeated output modes accumulate.  Light ``_push`` parks (a column that
-    raises: an OAM overflow, OAM a sign-domain device cannot sort; an output
-    mode outside the space) is dropped, and its source column flagged invalid.
-    """
-    rows: list[int] = []
-    cols: list[int] = []
-    coeffs: list[complex] = []
-    valid = np.ones(len(modes), dtype=bool)
-    for j, mode in enumerate(modes):
-        try:
-            image = column(mode)
-        except BellSimError:
-            valid[j] = False
-            continue
-        for out_mode, coeff in image:
-            if (row := index.get(out_mode)) is None:
-                valid[j] = False
-                continue
-            rows.append(row)
-            cols.append(j)
-            coeffs.append(coeff)
-    r = np.array(rows, dtype=np.intp)
-    c = np.array(cols, dtype=np.intp)  # ascending: the entries are in source-column order
-    k = np.array(coeffs, dtype=np.complex128)
-    count = np.bincount(c, minlength=len(modes))
+def _sparse(rows: np.ndarray, cols: np.ndarray, coeffs: np.ndarray, valid: np.ndarray) -> _SparseOp:
+    """An op's ``_SparseOp`` from its entries in source-column order."""
+    dim = len(valid)
+    count = np.bincount(cols, minlength=dim)
     # a unit row and column holds exactly one entry, a unit one on the diagonal
-    unit = np.bincount(r[(r == c) & (k == 1.0)], minlength=len(modes)) == 1
-    moved = ~(unit & (count == 1) & (np.bincount(r, minlength=len(modes)) == 1))
-    return _SparseOp(np.concatenate(([0], np.cumsum(count))), r, k, valid, moved)
+    unit = np.bincount(rows[(rows == cols) & (coeffs == 1.0)], minlength=dim) == 1
+    moved = ~(unit & (count == 1) & (np.bincount(rows, minlength=dim) == 1))
+    return _SparseOp(np.concatenate(([0], np.cumsum(count))), rows, coeffs, valid, moved)
 
 
 def _merge(width: int, *parts: tuple[np.ndarray, np.ndarray, np.ndarray]):
@@ -591,6 +586,7 @@ def _unitarity_residual(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, wi
 def assemble(plan: Plan) -> AssembledUnitary:
     """Dense per-photon matrices for a plan, with per-stage unitarity checks.
 
+    Each op's matrix is its spec's block, built once per distinct spec.
     Column j of a photon's matrix is ``_push``'s final image of basis mode j:
     light an op cannot take is zero from that op on.  A stage's residual,
     max |G - I| for the Gram G of the columns no op of the stage rejects, is
@@ -602,16 +598,27 @@ def assemble(plan: Plan) -> AssembledUnitary:
 
     Raises:
         DimensionCap: if the per-photon dimension exceeds ``MAX_PHOTON_DIMENSION``.
+        ValueError: an op without a spec (a column built in code).
     """
     dim = plan.space.dimension
     if dim > MAX_PHOTON_DIMENSION:
         raise DimensionCap(f"per-photon dimension {dim} exceeds cap {MAX_PHOTON_DIMENSION}")
-    modes, index = _mode_index(plan.space)
+    axis = blocks.axis(plan.space)
+    built: dict[tuple, _SparseOp] = {}  # one block per distinct spec
+
+    def op_block(cs: CompiledStage, op: CompiledOp) -> _SparseOp:
+        if op.spec is None:
+            raise ValueError(f"stage {cs.index + 1} ({cs.label}), element {op.label}: no element or gate to assemble")
+        key = (op.spec.kind, op.spec.paths, tuple(sorted(op.spec.params.items())))
+        if key not in built:
+            built[key] = _sparse(*blocks.block(op.spec, axis))
+        return built[key]
+
     diagonal = np.arange(dim)
     totals = {p: (diagonal, diagonal, np.ones(dim, dtype=np.complex128)) for p in PHOTONS}
     records = []
     for cs in plan.stages:
-        ops = [_sparse_op(op.column, modes, index) for op in cs.ops]
+        ops = [op_block(cs, op) for op in cs.ops]
         valid = np.all([sparse.valid for sparse in ops], axis=0)  # no op of the stage rejects it
         unit = np.flatnonzero(valid & np.any([sparse.moved for sparse in ops], axis=0))
         width = dim + len(unit)  # the unit columns are columns dim, dim + 1, ... of the product

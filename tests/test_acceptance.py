@@ -39,7 +39,6 @@ from bellsim.elements import (
     oam_sorter,
     pbs,
     pp,
-    qp,
     qwp,
     spp,
 )

@@ -15,7 +15,6 @@ from bellsim.elements import (
     ACTIONS,
     Element,
     apply_element,
-    apply_elements,
     bs,
     dl,
     dp,

@@ -4,10 +4,9 @@ The oracle cross-check is the load-bearing test here: the same plan is
 run sparsely (per-mode images contracted with the input, checked here
 against an op-by-op fold) and as dense per-photon matrices, and the two
 must agree on a seeded batch of random input states.  The dense
-matrices are assembled from each op's nonzero entries, read off the same
-column functions the sparse engine runs, so the oracle is not yet
-independent of the engine; a closed-form oracle built from the physics
-is the open item that makes it so.
+matrices are assembled from each op's block in ``bellsim.blocks``, the
+physics restated apart from the column functions the sparse engine runs;
+both are also held to this file's op-by-op reference fold.
 """
 
 import dataclasses
@@ -788,9 +787,12 @@ def _merges_x(mode):
 def test_stage_residual_sees_a_stage_that_is_not_unitary(columns):
     """A valid column that the stage absorbs, or that its first op moves onto
     a mode the second op absorbs or overflows (each op alone is unitary on
-    its own valid columns in the last case), or two columns sent to one mode."""
-    (record,) = assemble(_hand_plan(*columns)).records
-    assert record.unitarity_residual >= 0.5
+    its own valid columns in the last case), or two columns sent to one mode:
+    the entry Gram of the stage's valid columns, from the reference fold."""
+    ((_, stage, valid),) = _reference_stages(_hand_plan(*columns))
+    rows, cols = np.nonzero(stage[:, valid])  # in row order, as the Gram reads them
+    residual = engine._unitarity_residual(rows, cols, stage[:, valid][rows, cols], int(valid.sum()))
+    assert residual >= 0.5
 
 
 def _assert_dense_columns_are_the_pushes(plan):
@@ -820,7 +822,22 @@ def test_dense_columns_are_the_pushes_on_fig2(impl):
          "absorbed", "moved-then-absorbed", "merged", "to-undeclared-path"],
 )
 def test_dense_columns_are_the_pushes_on_hand_plans(columns):
-    _assert_dense_columns_are_the_pushes(_hand_plan(*columns))
+    """Code-built columns have no physics for ``assemble`` to restate, so the
+    pushes are held to the op-by-op reference fold over the whole space instead."""
+    plan = _hand_plan(*columns)
+    mats, _ = _reference_matrices(plan)
+    for photon in PHOTONS:
+        want = np.zeros_like(mats[photon])
+        for j, mode in enumerate(plan.space.modes()):
+            col = engine._push(plan, photon, mode)
+            for out, amp in plan._transfers[photon].columns[col][-1].items():
+                want[plan.space.index(out), j] = amp
+        assert np.max(np.abs(mats[photon] - want)) <= 1e-12, photon
+
+
+def test_assemble_refuses_a_column_built_in_code():
+    with pytest.raises(ValueError, match=r"^stage 1 \(custom\), element e1: no element or gate to assemble$"):
+        assemble(_hand_plan(_hadamard))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -857,6 +874,30 @@ def test_dense_apply_on_sparse_states_over_the_whole_space(impl):
             got[plan.space.index(ma), plan.space.index(mb)] = amp
         assert np.max(np.abs(got - want)) <= 1e-12
     assert dense.apply(TwoPhotonState(plan.space, {})).amplitudes == {}
+
+
+@pytest.mark.parametrize("impl", ["canonical", "decomposed"])
+def test_apply_all_is_apply_on_each_state(impl):
+    """The oracle's 54 inputs, an empty state, and states on random supports
+    anywhere in the space, applied in one batch: exactly what ``apply`` gives
+    each state alone, amplitude for amplitude and in the same order."""
+    plan = compile_circuit(FIG2, impl)
+    dense = assemble(plan)
+    states = [prepare_input(label, SPACE) for label in BELL_LABELS] + random_input_states(50, space=SPACE)
+    states.append(TwoPhotonState(plan.space, {}))
+    modes = plan.space.modes()
+    rng = np.random.default_rng(0xA11)
+    for size in (1, 2, 5, 12):
+        picks = rng.choice(len(modes), size=(size, 2))
+        amps = {(modes[i], modes[j]): complex(*rng.standard_normal(2)) for i, j in picks}
+        states.append(TwoPhotonState(plan.space, amps))
+    got = dense.apply_all(states)
+    assert len(got) == len(states)
+    for state, out in zip(states, got):
+        want = dense.apply(state)
+        assert out.space == want.space == plan.space
+        assert list(out.amplitudes.items()) == list(want.amplitudes.items())
+    assert dense.apply_all([]) == []
 
 
 def test_dimension_cap():
