@@ -10,10 +10,15 @@ photon's ops once per plan, caching the images on the plan as one transfer
 matrix per photon and stage count (a column per input mode, a row per
 output mode reached), and builds each returned pair state as one
 contraction ``M_A Psi M_B^T`` of the input amplitudes with them, in
-complex128, dropping amplitudes of magnitude <= 1e-15.  Light an op cannot
-take is parked beside its column with the error that parked it; a state
-raises that error, naming its stage and element, only if its joint
-amplitudes on the parked light do not cancel.  ``validate`` compiles every
+complex128, dropping amplitudes of magnitude <= 1e-15.  The last state's
+input layout (each photon's columns, each pair's flat place in Psi) sits in
+one slot on the plan, so states on the same keys in the same order fill Psi
+in one assignment.  Only the counts the public calls return drop the
+ancilla, and ``restrict_to_circuit``'s leak scan runs on a count only if a
+row of its transfer matrices, noted per build, lies on the ancilla path.
+Light an op cannot take is parked beside its column with the error that
+parked it; a state raises that error, naming its stage and element, only
+if its joint amplitudes on the parked light do not cancel.  ``validate`` compiles every
 plan the CLI can run and reads its issues off the same pushes.
 ``assemble`` builds dense per-photon matrices for the same plan from each
 op's block in :mod:`bellsim.blocks`: the physics restated, not the column
@@ -85,6 +90,9 @@ class Plan:
     # (photon, input mode) -> its column in the photon's _Transfer
     _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _transfers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (pair keys, photon A's columns, photon B's columns, flat Psi index per pair)
+    # of the last state propagated: one tuple, replaced whole
+    _layout: tuple = field(default=(None,), init=False, repr=False, compare=False)
 
 
 def _resolve(circuit: Circuit, impl_override: str | None):
@@ -295,8 +303,10 @@ def restrict_to_circuit(plan: Plan, state: TwoPhotonState, where: str = "state")
         LeakedAmplitude: if more than 1e-10 of the probability sits on the
             ancilla (the interferometer did not return it empty).
     """
+    if plan.ancilla is None:
+        return state
     space = plan.circuit.space()
-    if plan.ancilla is None or state.space == space:
+    if state.space == space:
         return state
     kept = {
         key: amp
@@ -317,11 +327,13 @@ class _Transfer:
     image, and the rows are the output modes those images reach.  Beside
     each column is the light its push parked, and each parked key's error."""
 
-    def __init__(self) -> None:
+    def __init__(self, ancilla: str | None = None) -> None:
+        self.ancilla = ancilla
         self.columns: list[list[dict]] = []
         self.parked: list[dict] = []  # per column: (stage, op, mode) -> amplitude
         self.errors: dict[tuple, BellSimError] = {}
-        self._built: dict[int, tuple[list[BasisMode], np.ndarray]] = {}
+        self._built: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.on_ancilla: dict[int, bool] = {}  # per count: does a row lie on the ancilla path
 
     def add(self, images: list[dict], parked: dict) -> int:
         self.columns.append(images)
@@ -329,8 +341,8 @@ class _Transfer:
         self._built.clear()  # every count's matrix grows by this column
         return len(self.columns) - 1
 
-    def at(self, count: int) -> tuple[list[BasisMode], np.ndarray]:
-        """(row modes, matrix) after ``count`` stages, built once per growth."""
+    def at(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """(row modes as an object array, matrix) after ``count`` stages, built once per growth."""
         if count not in self._built:
             rows: dict[BasisMode, int] = {}
             r, c, v = [], [], []
@@ -341,7 +353,8 @@ class _Transfer:
                     v.append(coeff)
             mat = np.zeros((len(rows), len(self.columns)), dtype=np.complex128)
             mat[r, c] = v
-            self._built[count] = (list(rows), mat)
+            self.on_ancilla[count] = any(m.path == self.ancilla for m in rows)
+            self._built[count] = (np.fromiter(rows, dtype=object, count=len(rows)), mat)
         return self._built[count]
 
 
@@ -351,7 +364,7 @@ def _push(plan: Plan, photon: str, mode: BasisMode) -> int:
     take (its column raises, or an image fails the space check) is parked
     under (stage position, op position, mode) and leaves the push."""
     if (photon, mode) not in plan._images:
-        transfer = plan._transfers.setdefault(photon, _Transfer())
+        transfer = plan._transfers.setdefault(photon, _Transfer(plan.ancilla))
         amps: dict = {mode: 1.0 + 0.0j}
         images, parked = [amps], {}
         for s, cs in enumerate(plan.stages):
@@ -378,7 +391,7 @@ def _push(plan: Plan, photon: str, mode: BasisMode) -> int:
     return plan._images[photon, mode]
 
 
-def _raise_parked(plan: Plan, psi: np.ndarray, cols: list, transfers: list) -> None:
+def _raise_parked(plan: Plan, psi: np.ndarray, cols: tuple, transfers: list) -> None:
     """Raise for the earliest op, in plan order, whose parked light the pair
     state reaches: the parked row over the state's input modes, times Psi,
     times the other photon's images entering that stage.  At a tie the key
@@ -400,56 +413,74 @@ def _raise_parked(plan: Plan, psi: np.ndarray, cols: list, transfers: list) -> N
         raise type(exc)(f"stage {cs.index + 1} ({cs.label}), element {cs.ops[first[1]].label}: {exc}") from exc
 
 
-def _states(plan: Plan, state: TwoPhotonState, counts: tuple[int, ...]) -> "list[TwoPhotonState]":
-    """The state in the plan's space after the first ``count`` stages, for each
-    count: ``M_A Psi M_B^T`` on the columns of the state's own input modes."""
+def _layout(plan: Plan, state: TwoPhotonState) -> tuple:
+    """The plan's layout slot if it holds the state's keys in the same order, else a new one stored there."""
+    keys = tuple(state.amplitudes)
+    layout = plan._layout  # read once: another call may replace the slot
+    if layout[0] == keys:
+        return layout
     if state.space != plan.space:
-        state = state.with_space(plan.space)
-    pairs = state.amplitudes
+        state.with_space(plan.space)  # raises on a mode outside the plan's space
     # Psi's rows and columns follow the state's own mode order, not the plan's history
-    index = [{m: i for i, m in enumerate(dict.fromkeys(p[side] for p in pairs))} for side in (0, 1)]
-    cols = [[_push(plan, photon, m) for m in ix] for photon, ix in zip(PHOTONS, index)]
-    psi = np.zeros((len(cols[0]), len(cols[1])), dtype=np.complex128)
-    psi[[index[0][a] for a, _ in pairs], [index[1][b] for _, b in pairs]] = list(pairs.values())
+    index = [{m: i for i, m in enumerate(dict.fromkeys(p[side] for p in keys))} for side in (0, 1)]
+    cols = [np.array([_push(plan, photon, m) for m in ix], dtype=np.intp) for photon, ix in zip(PHOTONS, index)]
+    flat = np.array([index[0][a] * len(index[1]) + index[1][b] for a, b in keys], dtype=np.intp)
+    layout = (keys, *cols, flat)
+    object.__setattr__(plan, "_layout", layout)
+    return layout
+
+
+def _states(plan: Plan, state: TwoPhotonState, counts: tuple[int, ...], where: dict | None = None) -> list:
+    """The state in the plan's space after the first ``count`` stages, for each
+    count: ``M_A Psi M_B^T`` on the columns of the state's own input modes.  A
+    count named in ``where`` is restricted to the circuit's space as
+    ``restrict_to_circuit(plan, state, where[count])``, without its scan if no
+    transfer row of the count lies on the ancilla path."""
+    _, col_a, col_b, flat = _layout(plan, state)
+    psi = np.zeros(len(col_a) * len(col_b), dtype=np.complex128)
+    psi[flat] = list(state.amplitudes.values())
+    psi = psi.reshape(len(col_a), len(col_b))
     ta, tb = transfers = [plan._transfers.get(photon) or _Transfer() for photon in PHOTONS]
     if ta.errors or tb.errors:  # some push of the plan parked light
-        _raise_parked(plan, psi, cols, transfers)
+        _raise_parked(plan, psi, (col_a, col_b), transfers)
     out = []
     for count in counts:
         if not count:
-            out.append(state)
-            continue
-        (rows_a, mat_a), (rows_b, mat_b) = ta.at(count), tb.at(count)
-        joint = (mat_a[:, cols[0]] @ psi @ mat_b[:, cols[1]].T).tolist()
-        amps = {
-            (xa, xb): amp
-            for xa, row in zip(rows_a, joint)
-            for xb, amp in zip(rows_b, row)
-            if abs(amp) > DROP_EPS
-        }
-        # every image mode was checked in the plan's space by its push
-        out.append(TwoPhotonState._trusted(plan.space, amps))
+            out.append(state if state.space == plan.space else state.with_space(plan.space))
+        else:
+            (rows_a, mat_a), (rows_b, mat_b) = ta.at(count), tb.at(count)
+            joint = mat_a[:, col_a] @ psi @ mat_b[:, col_b].T
+            hit = np.abs(joint) > DROP_EPS
+            ia, ib = np.nonzero(hit)
+            amps = dict(zip(zip(rows_a[ia].tolist(), rows_b[ib].tolist()), joint[hit].tolist()))
+            # every image mode was checked in the plan's space by its push
+            out.append(TwoPhotonState._trusted(plan.space, amps))
+        if where and count in where:
+            if plan.ancilla and count and not (ta.on_ancilla[count] or tb.on_ancilla[count]):
+                out[-1] = TwoPhotonState._trusted(plan.circuit.space(), amps)
+            else:
+                out[-1] = restrict_to_circuit(plan, out[-1], where[count])
     return out
 
 
 def propagate(plan: Plan, state: TwoPhotonState) -> TwoPhotonState:
     """Final state in the circuit's own space (ancilla checked + stripped): one
     contraction with mode images built once per plan; raises if it reaches parked light."""
-    (final,) = _states(plan, state, (len(plan.stages),))
-    return restrict_to_circuit(plan, final, "after final stage")
+    count = len(plan.stages)
+    (final,) = _states(plan, state, (count,), {count: "after final stage"})
+    return final
 
 
 def propagate_with_checkpoints(
     plan: Plan, state: TwoPhotonState
 ) -> tuple[TwoPhotonState, dict[str, TwoPhotonState]]:
     """Propagate and also return the state after each kind's last stage."""
-    counts = tuple(sorted({count for _, count in plan.checkpoints} | {len(plan.stages)}))
-    at = dict(zip(counts, _states(plan, state, counts)))
-    marks = {
-        kind: restrict_to_circuit(plan, at[count], f"checkpoint {kind}")
-        for kind, count in plan.checkpoints
-    }
-    return restrict_to_circuit(plan, at[len(plan.stages)], "after final stage"), marks
+    final = len(plan.stages)
+    # a checkpoint at the final count names itself in the error, as it is checked first
+    where = {final: "after final stage", **{count: f"checkpoint {kind}" for kind, count in plan.checkpoints}}
+    counts = tuple(sorted(where))
+    at = dict(zip(counts, _states(plan, state, counts, where)))
+    return at[final], {kind: at[count] for kind, count in plan.checkpoints}
 
 
 # -- dense assembly oracle ----------------------------------------------

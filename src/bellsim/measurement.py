@@ -132,9 +132,9 @@ class OutcomeDistribution:
     def __post_init__(self):
         object.__setattr__(self, "origins_a", tuple(self.origins_a))
         object.__setattr__(self, "origins_b", tuple(self.origins_b))
-        for pattern, p in self.probs.items():
-            if p < -PROBABILITY_TOL:
-                raise ValueError(f"negative probability {p} for {pattern}")
+        if min(self.probs.values(), default=0.0) < -PROBABILITY_TOL:
+            pattern, p = next((k, p) for k, p in self.probs.items() if p < -PROBABILITY_TOL)
+            raise ValueError(f"negative probability {p} for {pattern}")
         total = sum(self.probs.values())
         if abs(total - 1.0) > PROBABILITY_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
@@ -143,7 +143,8 @@ class OutcomeDistribution:
         return self.probs.get(pattern, 0.0)
 
     def support(self) -> tuple[CoincidencePattern, ...]:
-        return tuple(pattern for pattern, _ in self.items_ordered())
+        probs = self.probs
+        return tuple([p for p in _patterns(self.origins_a, self.origins_b) if probs.get(p, 0.0) > PROBABILITY_TOL])
 
     def items_ordered(self):
         for pattern in _patterns(self.origins_a, self.origins_b):
@@ -241,10 +242,13 @@ def sppm_project(
         raise ValueError(f"bad impl: {impl!r}")
     # a pair of modes maps to one pattern, and no two pairs to the same one
     table = _pattern_table(origins_a, origins_b)
-    probs = {
-        table.get(pair) or _unlisted(pair, amp, origins_a, origins_b): abs(amp) ** 2
-        for pair, amp in state.amplitudes.items()
-    }
+    amps = state.amplitudes
+    try:
+        patterns = list(map(table.__getitem__, amps))
+    except KeyError:  # raises for the first pair no pattern reads
+        next(_unlisted(pair, amp, origins_a, origins_b) for pair, amp in amps.items() if pair not in table)
+    # abs(a) ** 2: a vectorised square differs from it in the last bit on some amplitudes
+    probs = dict(zip(patterns, [abs(a) ** 2 for a in amps.values()]))
     return OutcomeDistribution(origins_a, origins_b, probs)
 
 

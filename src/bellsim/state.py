@@ -285,10 +285,8 @@ def max_amplitude_difference(x: State, y: State) -> float:
     even a global phase must match.
     """
     _check_comparable(x, y)
-    worst = 0.0
-    for mode in x.amplitudes.keys() | y.amplitudes.keys():
-        worst = max(worst, abs(x.amplitude(mode) - y.amplitude(mode)))
-    return worst
+    xs, ys = x.amplitudes, y.amplitudes
+    return max((abs(xs.get(m, 0j) - ys.get(m, 0j)) for m in xs.keys() | ys.keys()), default=0.0)
 
 
 def global_phase_between(x: State, y: State) -> complex:

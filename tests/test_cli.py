@@ -318,8 +318,9 @@ def test_stages_with_no_checkpoint_fails(capsys):
     [
         ["stages", "--input", "phi-", "--format", "json", "--impl", "decomposed"],
         ["oracle", "--format", "json", "--impl", "decomposed", "--n-random", "5"],
+        ["run", "--input", "phi+", "--format", "json", "--impl", "decomposed"],
     ],
-    ids=["stages", "oracle"],
+    ids=["stages", "oracle", "run"],
 )
 def test_output_does_not_depend_on_the_string_hash_seed(argv):
     """Sums over sets of modes or patterns would follow PYTHONHASHSEED."""

@@ -12,6 +12,7 @@ both are also held to this file's op-by-op reference fold.
 import dataclasses
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -395,6 +396,58 @@ def test_transfer_matrices_grow_by_input_mode_not_by_state():
         for count in counts:
             rows, mat = transfer.at(count)
             assert mat.shape == (len(rows), len(seen[photon]))
+
+
+def _bits(state):
+    """A state's space, keys in order, and each amplitude's float bits."""
+    return state.space, [(key, amp.real.hex(), amp.imag.hex()) for key, amp in state.amplitudes.items()]
+
+
+def _run_bits(plan, state):
+    """``propagate``, then ``propagate_with_checkpoints`` (final, then each mark), as ``_bits``."""
+    final, marks = propagate_with_checkpoints(plan, state)
+    return [_bits(propagate(plan, state)), _bits(final)] + [(kind, *_bits(m)) for kind, m in marks.items()]
+
+
+@pytest.mark.parametrize("impl", ["canonical", "decomposed"])
+def test_layout_slot_matches_a_plan_without_it(impl):
+    """One plan runs interleaved inputs whose keys repeat, reorder and shrink.
+    Each result equals, key order and float bits included, a twin plan's with
+    the same history whose layout slot is emptied before every call, and a
+    fresh plan's up to key order (its transfer rows follow its own history)."""
+    plan, twin = compile_circuit(FIG2, impl), compile_circuit(FIG2, impl)
+    rng = np.random.default_rng(23)
+    sector = [_random_sector_state(rng) for _ in range(4)]
+    reordered = TwoPhotonState(SPACE, dict(reversed(sector[0].amplitudes.items())))
+    smaller = TwoPhotonState(SPACE, dict(islice(sector[1].amplitudes.items(), 3, 9)))
+    bell = [prepare_input(label, SPACE) for label in BELL_LABELS]
+    inputs = [sector[0], sector[2], bell[0], sector[3], reordered, sector[0], smaller, bell[1]]
+    inputs += [smaller, smaller, reordered, bell[2], sector[2], bell[3], bell[3]]
+    for state in inputs:
+        got = _run_bits(plan, state)
+        object.__setattr__(twin, "_layout", (None,))
+        assert got == _run_bits(twin, state)
+        fresh = _run_bits(compile_circuit(FIG2, impl), state)
+        assert [(*x[:-1], sorted(x[-1])) for x in got] == [(*x[:-1], sorted(x[-1])) for x in fresh]
+
+
+def test_only_returned_counts_are_stripped_of_the_ancilla():
+    """Faint ancilla light (1e-12 of the probability, under the 1e-10 bound)
+    stays on at every count ``_states`` is asked for, in the plan's space, and
+    is stripped from what ``propagate`` returns as ``restrict_to_circuit`` strips it."""
+    plan = compile_circuit(FIG2, "decomposed")
+    bell = prepare_input("phi+", SPACE)
+    amps = {pair: math.sqrt(1 - 1e-12) * amp for pair, amp in bell.amplitudes.items()}
+    amps[BasisMode("H", 1, plan.ancilla), BasisMode("H", 0, "a2")] = 1e-6 + 0.0j
+    state = TwoPhotonState(plan.space, amps)
+    counts = tuple(range(len(plan.stages) + 1))
+    for at_count in engine._states(plan, state, counts):
+        assert at_count.space == plan.space
+        assert any(a.path == plan.ancilla for a, _ in at_count.amplitudes)
+    unstripped = engine._states(plan, state, counts[-1:])[0]
+    want = restrict_to_circuit(plan, unstripped, "after final stage")
+    assert _bits(propagate(plan, state)) == _bits(want)
+    assert want.space == SPACE and len(want.amplitudes) < len(unstripped.amplitudes)
 
 
 _HAND_SPACE = ModeSpace(2, ("x", "y"))

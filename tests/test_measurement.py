@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from bellsim import measurement
-from bellsim.analyzer import analyze
+from bellsim.analyzer import analyze, random_input_states
 from bellsim.circuit import builtin_document, parse_circuit
-from bellsim.engine import compile_circuit
+from bellsim.engine import compile_circuit, propagate
 from bellsim.errors import CalibrationFailure, LeakedAmplitude, MalformedPattern, UnsortableOam
 from bellsim.measurement import (
     CoincidencePattern,
@@ -207,6 +207,25 @@ def test_decomposed_projection_matches_direct():
         direct = sppm_project(st, ("a1", "b1"), ("a2", "b2"), impl="canonical")
         routed = sppm_project(st, ("a1", "b1"), ("a2", "b2"), impl="decomposed")
         assert direct.probs == routed.probs
+
+
+@pytest.mark.parametrize("impl", ["canonical", "decomposed"])
+def test_readout_is_abs_squared_to_the_last_bit(impl):
+    """Each probability is ``abs(a) ** 2`` of its pair's amplitude, in the
+    state's key order: ``np.abs(a) ** 2``, ``a * a.conjugate()`` and
+    ``re² + im²`` each differ from it in the last bit on some of these states."""
+    plan = compile_circuit(parse_circuit(builtin_document("fig2")), impl)
+    origins_a, origins_b = plan.origins["A"], plan.origins["B"]
+    table = {
+        (BasisMode(p.det_a.pol, p.det_a.oam_sign, p.det_a.origin),
+         BasisMode(p.det_b.pol, p.det_b.oam_sign, p.det_b.origin)): p
+        for p in enumerate_patterns(origins_a, origins_b)
+    }
+    for state in random_input_states(200, 0xB175, plan.circuit.space()):
+        out = propagate(plan, state)
+        probs = sppm_project(out, origins_a, origins_b, impl).probs
+        want = {table[pair]: abs(a) ** 2 for pair, a in out.amplitudes.items()}
+        assert [(k, p.hex()) for k, p in probs.items()] == [(k, p.hex()) for k, p in want.items()]
 
 
 @pytest.mark.parametrize("impl", ["canonical", "decomposed"])
