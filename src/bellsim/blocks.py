@@ -1,16 +1,16 @@
 """Every op kind as a dense block, restated from the optics for the oracle.
 
-The sparse engine runs column functions (``elements``' actions, ``gates``'
-canonical truth tables).  This module states each kind a second time, from
-the physics and not from that code, as numpy index arithmetic over a
+The sparse engine runs column functions (``elements.ACTIONS``, the
+canonical gates among them).  This module states each kind a second
+time, from the physics and not from that code, as numpy index arithmetic over a
 space's whole dense basis, so the dense oracle checks the engine instead
 of copying it.  Mode j is (path, l, pol) with j = (path * n + l + lmax) * 2
 + pol, n = 2 lmax + 1 and pol 0 = H, 1 = V (``ModeSpace.modes`` order).
 
 ``block(spec, axis)`` gives one op's matrix as its entries in
 source-column order, and the columns it can take.  A spec is a placed
-element, or a canonical gate's kind, paths and params.  Off the placed
-paths a column is the unit one.  A domain limit is an index mask: a
+element, a canonical gate included.  Off the placed paths a column is
+the unit one.  A domain limit is an index mask: a
 column whose image would leave |l| <= lmax, or that a sign-sorting device
 receives outside l = +1/-1, is invalid and has no entries.
 

@@ -21,7 +21,8 @@ pi (``pi/8``, ``-pi/4``, ``3pi/4``); the pi forms are preserved exactly
 and round-trip through the canonical printer.
 
 Every stage kind is declared once, in ``STAGE_KINDS``: the parser, the
-printer, the compiler and the validator all read it.
+printer, the compiler and the validator all read it.  A stage builds
+placed elements; the engine turns them into column functions.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from typing import Callable, NamedTuple
 
 from . import elements as el
 from . import gates
-from .elements import ColumnFn
 from .errors import CircuitSemanticError, CircuitSyntaxError
 from .state import DEFAULT_LMAX, ModeSpace
 
@@ -108,27 +108,15 @@ class Param(NamedTuple):
 
 
 @dataclass(frozen=True)
-class CompiledOp:
-    """One single-photon op: its column function, and the record the dense
-    oracle restates it from (the placed element, or a canonical gate's kind,
-    paths and params as an ``Element`` of that kind); ``None`` for a column
-    built in code."""
-
-    label: str
-    column: ColumnFn
-    spec: el.Element | None = None
-
-
-@dataclass(frozen=True)
 class KindSpec:
     """Everything the package knows about one stage kind.
 
     Attributes:
         arity: exact number of paths, or None for one or more.
         params: kind-specific keys, in canonical print order.
-        build: (stage, impl, space) -> single-photon ops; None for the
-            measurement marker, which records a detection origin and
-            compiles to no op.
+        build: (stage, impl) -> the placed elements the stage compiles to;
+            None for the measurement marker, which records a detection
+            origin and compiles to no element.
         composite: accepts ``impl=`` (canonical truth table or element
             decomposition).
         sign_domain: the stage only acts on l=+1/-1.
@@ -138,74 +126,65 @@ class KindSpec:
     name: str
     arity: int | None
     params: tuple[Param, ...]
-    build: Callable[[Stage, str, ModeSpace], list[CompiledOp]] | None
+    build: Callable[[Stage, str], list[el.Element]] | None
     composite: bool = False
     sign_domain: bool = False
     ancilla: bool = False
 
 
-def _element_ops(elements: list[el.Element], space: ModeSpace) -> list[CompiledOp]:
-    return [CompiledOp(e.describe(), el.element_column(e, space), e) for e in elements]
+def _as_element(stage: Stage, impl: str) -> list[el.Element]:
+    """The stage as one element of its own kind, its angles in radians."""
+    angles = {p.key for p in STAGE_KINDS[stage.kind].params if p.type == "angle"}
+    params = {k: angle_value(v) if k in angles else v for k, v in stage.params.items()}
+    return [el.Element(stage.kind, stage.paths, params)]
 
 
-def _primitive(name: str, params: tuple[Param, ...], make, sign_domain: bool = False) -> KindSpec:
+def _primitive(name: str, params: tuple[Param, ...], sign_domain: bool = False) -> KindSpec:
     """A kind that compiles to one element; arity is the element's own."""
-
-    def build(stage: Stage, impl: str, space: ModeSpace):
-        values = {k: angle_value(v) if isinstance(v, PiAngle) else v for k, v in stage.params.items()}
-        return _element_ops([make(stage.paths, values)], space)
-
     arity = 2 if name in el.TWO_PATH_KINDS else None
-    return KindSpec(name, arity, params, build, sign_domain=sign_domain)
+    return KindSpec(name, arity, params, _as_element, sign_domain=sign_domain)
 
 
-def _build_p_cos(stage: Stage, impl: str, space: ModeSpace):
+def _build_p_cos(stage: Stage, impl: str) -> list[el.Element]:
     q = Fraction(stage.params.get("q", Fraction(1, 2)))
     if impl == "canonical":
-        column = gates.pol_shift_column(q, stage.paths, space)
-        return [CompiledOp(f"p_cos(q={q})", column, el.Element("p_cos", stage.paths, {"q": q}))]
-    return _element_ops(gates.pol_shift_decomposition(q, stage.paths), space)
+        return [el.Element("p_cos", stage.paths, {"q": q})]
+    return gates.pol_shift_decomposition(q, stage.paths)
 
 
-def _build_o_cps(stage: Stage, impl: str, space: ModeSpace):
+def _build_o_cps(stage: Stage, impl: str) -> list[el.Element]:
     if impl == "canonical":
-        sorter = el.oam_sorter(*stage.paths)
-        return [CompiledOp("o_cps", el.element_column(sorter, space), sorter)]
-    return _element_ops(gates.path_router_decomposition(*stage.paths), space)
+        return [el.oam_sorter(*stage.paths)]
+    return gates.path_router_decomposition(*stage.paths)
 
 
-def _build_oh(stage: Stage, impl: str, space: ModeSpace):
+def _build_oh(stage: Stage, impl: str) -> list[el.Element]:
     if impl == "canonical":
-        return [CompiledOp("oh", gates.oam_hadamard_column(stage.paths), el.Element("oh", stage.paths))]
-    elements = [e for p in stage.paths for e in gates.oam_hadamard_decomposition(p, ANCILLA_PATH)]
-    return _element_ops(elements, space)
+        return _as_element(stage, impl)
+    return [e for p in stage.paths for e in gates.oam_hadamard_decomposition(p, ANCILLA_PATH)]
 
 
-def _build_dp_stage(stage: Stage, impl: str, space: ModeSpace):
+def _build_dp_stage(stage: Stage, impl: str) -> list[el.Element]:
     if impl == "canonical":
-        return [CompiledOp("dp_stage", gates.oam_flip_column(stage.paths), el.Element("dp_stage", stage.paths))]
-    return _element_ops(gates.oam_flip_decomposition(stage.paths), space)
+        return _as_element(stage, impl)
+    return gates.oam_flip_decomposition(stage.paths)
 
 
 #: every stage kind, in the order diagnostics list them
 STAGE_KINDS: dict[str, KindSpec] = {
     spec.name: spec
     for spec in (
-        _primitive("qwp", (), lambda paths, v: el.qwp(paths)),
-        _primitive("hwp", (Param("theta", "angle"),), lambda paths, v: el.hwp(v["theta"], paths)),
-        _primitive("qp", (Param("q", "fraction"),), lambda paths, v: el.qp(v["q"], paths)),
-        _primitive("spp", (Param("l", "int"),), lambda paths, v: el.spp(v["l"], paths)),
-        _primitive("dp", (Param("alpha", "angle"),), lambda paths, v: el.dp(v["alpha"], paths)),
-        _primitive(
-            "pp",
-            (Param("phi", "angle"), Param("pol", "pol", False), Param("oam", "int", False)),
-            lambda paths, v: el.pp(v["phi"], paths, pol=v.get("pol"), oam=v.get("oam")),
-        ),
-        _primitive("mirror", (), lambda paths, v: el.mirror(paths)),
-        _primitive("bs", (), lambda paths, v: el.bs(*paths)),
-        _primitive("pbs", (), lambda paths, v: el.pbs(*paths)),
-        _primitive("oam_sorter", (), lambda paths, v: el.oam_sorter(*paths), sign_domain=True),
-        _primitive("dl", (), lambda paths, v: el.dl(paths)),
+        _primitive("qwp", ()),
+        _primitive("hwp", (Param("theta", "angle"),)),
+        _primitive("qp", (Param("q", "fraction"),)),
+        _primitive("spp", (Param("l", "int"),)),
+        _primitive("dp", (Param("alpha", "angle"),)),
+        _primitive("pp", (Param("phi", "angle"), Param("pol", "pol", False), Param("oam", "int", False))),
+        _primitive("mirror", ()),
+        _primitive("bs", ()),
+        _primitive("pbs", ()),
+        _primitive("oam_sorter", (), sign_domain=True),
+        _primitive("dl", ()),
         KindSpec("p_cos", None, (Param("q", "fraction", False),), _build_p_cos, composite=True),
         KindSpec("o_cps", 2, (), _build_o_cps, composite=True, sign_domain=True),
         KindSpec("oh", None, (), _build_oh, composite=True, sign_domain=True, ancilla=True),

@@ -1,4 +1,4 @@
-"""Primitive optical elements as sparse column maps.
+"""Optical elements and the canonical gates as sparse column maps.
 
 Each element is described by an :class:`Element` record (kind + placement +
 parameters) and compiled into a *column function*
@@ -14,9 +14,10 @@ total on the mode space. Two helpers hold the limits shared by several
 devices: ``_check_lmax`` raises ``OamOverflow`` when a shift would leave
 +-lmax, and ``_check_sign`` raises ``UnsortableOam`` outside ``SIGN_DOMAIN``
 (l=+1/-1, the domain the detectors and the validator read too). The
-canonical gate columns in :mod:`bellsim.gates` are built from the same
-wrapper and helpers. All elements are single-photon; lifting to the
-two-photon state lives in the engine.
+table also holds the canonical truth tables of three composite gates
+(their decompositions live in :mod:`bellsim.gates`), so every op the
+engine runs is a placed element. All elements are single-photon; lifting
+to the two-photon state lives in the engine.
 
 Pinned single-element conventions:
 
@@ -32,8 +33,11 @@ Pinned single-element conventions:
 * OAM sorter on (x, y): l=+1 keeps its path, l=-1 swaps; anything else is
   an error (the device cannot sort it).
 * PP(phi): phase exp(i phi), optionally restricted to one polarization
-  and/or one OAM value (the restricted forms are the calibration plates
-  used inside composite gates).
+  (H or V) and/or one OAM value (the restricted forms are the calibration
+  plates used inside composite gates).
+* canonical gates: p_cos(q) maps |H,l> -> |H,l+2q> and |V,l> -> |V,l-2q>;
+  oh is the Hadamard on l=+1/-1 (anything else is an error); dp_stage is
+  the phase-free flip |l> -> |-l>.
 """
 
 from __future__ import annotations
@@ -85,12 +89,11 @@ SIGN_DOMAIN = (1, -1)
 
 @dataclass(frozen=True)
 class Element:
-    """A placed primitive element.
+    """A placed element: an optical device, or a canonical gate's truth table.
 
     Args:
         kind: one of qwp, hwp, qp, spp, dp, pp, mirror, bs, pbs,
-            oam_sorter, dl; a canonical gate's record for the dense
-            oracle carries its stage kind (p_cos, oh, dp_stage).
+            oam_sorter, dl, or a canonical gate: p_cos, oh, dp_stage.
         paths: placement; one or more paths for per-path elements, exactly
             two (ordered) for bs/pbs/oam_sorter.
         params: kind-specific parameters (theta, q, l, alpha, phi, pol, oam).
@@ -138,7 +141,8 @@ def hwp(theta: float, paths: Union[str, Iterable[str]]) -> Element:
 
 def qp(q: Union[Fraction, float, int], paths: Union[str, Iterable[str]]) -> Element:
     """q-plate of charge q; 2q must be an integer."""
-    return Element("qp", _paths_tuple(paths), {"q": q, "shift": qp_shift(q)})
+    qp_shift(q)  # raises NonPhysicalQ here, not only when the column is built
+    return Element("qp", _paths_tuple(paths), {"q": q})
 
 
 def qp_shift(q: Union[Fraction, float, int]) -> int:
@@ -174,11 +178,9 @@ def pp(
     pol: str | None = None,
     oam: int | None = None,
 ) -> Element:
-    """Phase plate exp(i phi); optional polarization / OAM selectors."""
+    """Phase plate exp(i phi); optional polarization (H or V) / OAM selectors."""
     params: dict[str, object] = {"phi": float(phi)}
     if pol is not None:
-        if pol not in (POL_H, POL_V):
-            raise ValueError(f"pol selector must be H or V, got {pol!r}")
         params["pol"] = pol
     if oam is not None:
         params["oam"] = int(oam)
@@ -264,7 +266,7 @@ def _hwp(element: Element, space: ModeSpace) -> ColumnFn:
 
 def _qp(element: Element, space: ModeSpace) -> ColumnFn:
     """L -> R on l + 2q and R -> L on l - 2q, written as one branch per OAM."""
-    shift = int(element.params["shift"])  # type: ignore[arg-type]
+    shift = qp_shift(element.params["q"])  # type: ignore[arg-type]
     up = _jones((0.5 + 0j, -0.5j), (-0.5j, -0.5 + 0j), shift)
     down = _jones((0.5 + 0j, 0.5j), (0.5j, -0.5 + 0j), -shift)
 
@@ -305,6 +307,8 @@ def _pp(element: Element, space: ModeSpace) -> ColumnFn:
     phi = float(element.params["phi"])  # type: ignore[arg-type]
     pol_sel = element.params.get("pol")
     oam_sel = element.params.get("oam")
+    if pol_sel not in (None, POL_H, POL_V):
+        raise ValueError(f"pol selector must be H or V, got {pol_sel!r}")
     coeff = complex(math.cos(phi), math.sin(phi))
 
     def act(mode: BasisMode) -> Terms:
@@ -359,6 +363,27 @@ def _oam_sorter(element: Element, space: ModeSpace) -> ColumnFn:
     return act
 
 
+def _p_cos(element: Element, space: ModeSpace) -> ColumnFn:
+    shift = qp_shift(element.params["q"])  # type: ignore[arg-type]
+    return _shift(space, "pol-controlled shift", shift, -shift)
+
+
+def _oh(element: Element, space: ModeSpace) -> ColumnFn:
+    def act(mode: BasisMode) -> Terms:
+        _check_sign(mode, "OAM Hadamard", element.paths)
+        plus = BasisMode(mode.pol, 1, mode.path)
+        minus = BasisMode(mode.pol, -1, mode.path)
+        if mode.oam == 1:
+            return [(plus, complex(_INV_SQRT2)), (minus, complex(_INV_SQRT2))]
+        return [(plus, complex(_INV_SQRT2)), (minus, complex(-_INV_SQRT2))]
+
+    return act
+
+
+def _oam_flip(mode: BasisMode) -> Terms:
+    return [(BasisMode(mode.pol, -mode.oam, mode.path), 1.0 + 0.0j)]
+
+
 def _identity(mode: BasisMode) -> Terms:
     return [(mode, 1.0 + 0.0j)]
 
@@ -379,6 +404,9 @@ ACTIONS: dict[str, Callable[[Element, ModeSpace], ColumnFn]] = {
     "pbs": _pbs,
     "oam_sorter": _oam_sorter,
     "dl": lambda element, space: _identity,
+    "p_cos": _p_cos,
+    "oh": _oh,
+    "dp_stage": lambda element, space: _oam_flip,
 }
 
 

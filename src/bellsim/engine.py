@@ -2,9 +2,10 @@
 dense matrix oracle.
 
 ``compile_circuit`` turns a parsed :class:`~bellsim.circuit.Circuit` into a
-:class:`Plan`: a flat list of single-photon column operators (canonical
-gate columns or their element decompositions), the measurement origins
-declared by ``sppm`` stages, and checkpoint positions after the last
+:class:`Plan`: each stage's placed elements (a canonical gate is one
+element, a decomposition several), each wrapped here, and only here, as a
+:class:`CompiledOp` with its column function; the measurement origins
+declared by ``sppm`` stages; and checkpoint positions after the last
 stage of each kind.  ``propagate`` pushes each input mode through its
 photon's ops once per plan, caching the images on the plan as one transfer
 matrix per photon and stage count (a column per input mode, a row per
@@ -36,13 +37,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice, product
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
 
 from . import blocks
-from .circuit import ANCILLA_PATH, PHOTONS, STAGE_KINDS, Circuit, CompiledOp
-from .elements import SIGN_DOMAIN
+from .circuit import ANCILLA_PATH, PHOTONS, STAGE_KINDS, Circuit, PiAngle, Stage
+from .elements import SIGN_DOMAIN, ColumnFn, Element, element_column
 from .errors import BellSimError, DimensionCap, LeakedAmplitude, UnsortableOam
 from .state import DROP_EPS, POLARIZATIONS, BasisMode, ModeSpace, TwoPhotonState, _clean
 
@@ -66,6 +68,17 @@ DEFAULT_ORIGINS = {"A": ("a1", "b1"), "B": ("a2", "b2")}
 
 _IMPLS = (None, "canonical", "decomposed")
 _SEVERITIES = ("error", "warning", "note")
+
+
+@dataclass(frozen=True)
+class CompiledOp:
+    """One single-photon op: its column function, and the placed element it
+    was built from, which the dense oracle restates; ``None`` for a column
+    built in code."""
+
+    label: str
+    column: ColumnFn
+    spec: Element | None = None
 
 
 @dataclass(frozen=True)
@@ -111,14 +124,16 @@ def _resolve(circuit: Circuit, impl_override: str | None):
 
 
 def compile_circuit(circuit: Circuit, impl_override: str | None = None) -> Plan:
-    """Resolve every stage to concrete column operators.
+    """Resolve every stage to its placed elements, each wrapped as an op.
 
     ``impl_override`` forces canonical or decomposed forms for all
     composite stages and for the default origins' readout when no ``sppm``
     stage names any; primitive stages are unaffected.  Compiling only
-    wraps columns: no light is pushed through the ops here.
+    wraps columns, each labelled with its element's ``describe()``: no
+    light is pushed through the ops here.
 
     Raises:
+        BellSimError: an element the space cannot take, as "stage N (label): ...".
         ValueError: a bad override, or a stage whose photon is not in
             ``PHOTONS`` (only a circuit built in code can have one).
     """
@@ -137,7 +152,7 @@ def compile_circuit(circuit: Circuit, impl_override: str | None = None) -> Plan:
                 sppm_impl[stage.paths[0]] = impl
             continue
         try:
-            ops = build(stage, impl, space)
+            ops = [CompiledOp(e.describe(), element_column(e, space), e) for e in build(stage, impl)]
         except BellSimError as exc:
             raise type(exc)(f"stage {idx + 1} ({label}): {exc}") from exc
         compiled.append(CompiledStage(idx, stage.kind, stage.photon, impl, label, tuple(ops)))
@@ -231,11 +246,50 @@ def _pushed_issues(circuit: Circuit, override: str | None) -> list[ValidationIss
     return issues
 
 
-def validate(circuit: Circuit) -> ValidationReport:
-    """Static checks: placements, then every plan the CLI can run.
+#: whether a stage parameter's value is one its type (``Param.type``) can hold
+_VALUE_OK = {
+    "angle": lambda v: isinstance(v, (PiAngle, Real)),
+    "fraction": lambda v: isinstance(v, Real),
+    "int": lambda v: isinstance(v, Integral),
+    "pol": lambda v: v in POLARIZATIONS,
+}
 
-    The plans are the circuit as written and each impl override that
-    yields a different one.  Each is compiled, and each l=0 basis mode
+
+def _stage_problems(stage: Stage, declared: set[str]):
+    """What the parser rejects in a stage, as messages: a circuit built in
+    code has not been through it."""
+    spec = STAGE_KINDS.get(stage.kind)
+    if spec is None:
+        yield f"unknown stage kind {stage.kind!r}"
+    yield from (f"path {p!r} is not declared" for p in stage.paths if p not in declared)
+    if stage.photon not in PHOTONS:
+        yield f"photon {stage.photon!r} is not declared"
+    if spec is None:
+        return
+    if spec.arity is not None and len(stage.paths) != spec.arity:
+        yield f"{stage.kind} needs exactly {('one path', 'two paths')[spec.arity - 1]}, got {len(stage.paths)}"
+    elif not stage.paths:
+        yield f"{stage.kind} needs at least one path"
+    elif spec.arity == 2 and stage.paths[0] == stage.paths[1]:
+        yield f"{stage.kind} placed twice on {stage.paths[0]!r}"
+    types = {p.key: p.type for p in spec.params}
+    yield from (f"missing required key {p.key}=" for p in spec.params if p.required and p.key not in stage.params)
+    for key, value in stage.params.items():
+        if key not in types:
+            yield f"unknown key {key!r}"
+        elif not _VALUE_OK[types[key]](value):
+            yield f"bad {key} value {value!r}"
+    if stage.impl not in _IMPLS[1:]:
+        yield f"bad impl {stage.impl!r}; expected canonical or decomposed"
+
+
+def validate(circuit: Circuit) -> ValidationReport:
+    """Static checks: each stage against its kind, then every plan the CLI can run.
+
+    A stage must pass what the parser checks in text (kind, paths and
+    their count, photon, keys, value types, impl); a circuit built in code
+    that fails is reported and not compiled.  The plans are the circuit as
+    written and each impl override that yields a different one.  Each is compiled, and each l=0 basis mode
     (both polarizations, every declared path, both photons: the
     analyzer's input class) is pushed through it by ``_push``, the same
     push ``propagate`` reads, up to the first op that parked light.  A
@@ -245,23 +299,12 @@ def validate(circuit: Circuit) -> ValidationReport:
     Identical issues are merged; one seen under only some impls names
     them.  Never raises; problems are returned as issues.
     """
-    issues: list[ValidationIssue] = []
     declared = set(circuit.paths)
-    for idx, stage in enumerate(circuit.stages):
-        spec = STAGE_KINDS.get(stage.kind)
-        if spec is None:
-            issues.append(ValidationIssue("error", idx, f"unknown stage kind {stage.kind!r}"))
-        for p in stage.paths:
-            if p not in declared:
-                issues.append(ValidationIssue("error", idx, f"path {p!r} is not declared"))
-        if stage.photon not in PHOTONS:
-            issues.append(
-                ValidationIssue("error", idx, f"photon {stage.photon!r} is not declared")
-            )
-        if spec and spec.arity == 2 and len(stage.paths) == 2 and stage.paths[0] == stage.paths[1]:
-            issues.append(
-                ValidationIssue("error", idx, f"{stage.kind} placed twice on {stage.paths[0]!r}")
-            )
+    issues = [
+        ValidationIssue("error", idx, message)
+        for idx, stage in enumerate(circuit.stages)
+        for message in _stage_problems(stage, declared)
+    ]
 
     if not issues:
         variants: dict[tuple, list] = {}

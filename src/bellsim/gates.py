@@ -1,23 +1,26 @@
-"""Composite gates: canonical truth-table contracts plus element decompositions.
+"""Composite gates as element decompositions, and the check that they hold.
 
-Architecture: each gate has a *canonical* action (an exact sparse truth
-table, used by default everywhere) and an *element decomposition* (wave
-plates, prisms, beam splitters) that must reproduce the canonical action.
-Calibration phase plates inside decompositions are explicit elements with
-stated values, never hidden constants. The contract is checked, not solved:
-tier-1 ``gate_equiv`` proves each decomposition equals its canonical gate
-within 1e-12, with global scale 1.
+Each gate has a *canonical* action (an exact sparse truth table, used by
+default everywhere) and an *element decomposition* (wave plates, prisms,
+beam splitters) that must reproduce it.  The canonical actions are
+elements too: ``p_cos``, ``oh`` and ``dp_stage`` are kinds in
+``elements.ACTIONS``, and the router's is the OAM sorter.  This module
+holds only the decompositions.  Calibration phase plates inside them are
+explicit elements with stated values, never hidden constants.  The
+contract is checked, not solved: tier-1 ``gate_equiv`` proves each
+decomposition equals its canonical element within 1e-12, with global
+scale 1.
 
 Gates:
 
-* pol-controlled OAM shift (circuit kind ``p_cos``): H gains +2q OAM,
-  V gains -2q, polarization untouched.
+* pol-controlled OAM shift (kind ``p_cos``): H gains +2q OAM, V gains
+  -2q, polarization untouched.
 * OAM-controlled path router (circuit kind ``o_cps``): on a path pair,
   l=+1 keeps its path and l=-1 crosses.  Its canonical action is the OAM
-  sorter's column; the decomposition is a two-path interferometer.
-* OAM Hadamard (circuit kind ``oh``): Hadamard on the l=+1/-1 sector of
-  one path, polarization untouched.
-* OAM flip stage (circuit kind ``dp_stage``): phase-free l -> -l.
+  sorter; the decomposition is a two-path interferometer.
+* OAM Hadamard (kind ``oh``): Hadamard on the l=+1/-1 sector of one
+  path, polarization untouched.
+* OAM flip stage (kind ``dp_stage``): phase-free l -> -l.
 """
 
 from __future__ import annotations
@@ -25,33 +28,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .elements import (
-    ColumnFn,
     Element,
-    _check_sign,
     _paths_tuple,
-    _placed,
-    _shift,
+    apply_elements,
     bs,
     dp,
     mirror,
     oam_sorter,
     pp,
     qp,
-    qp_shift,
     qwp,
     spp,
 )
-from .state import (
-    _INV_SQRT2,
-    POL_V,
-    BasisMode,
-    ModeSpace,
-    PhotonState,
-    basis_state,
-)
+from .state import POL_V, BasisMode, ModeSpace, basis_state
 
 __all__ = [
     "pol_shift_decomposition",
@@ -62,39 +54,6 @@ __all__ = [
     "EquivalenceReport",
     "gate_equiv",
 ]
-
-# -- canonical truth tables ---------------------------------------------
-
-
-def pol_shift_column(q: Union[Fraction, float, int], paths: Union[str, Iterable[str]], space: ModeSpace) -> ColumnFn:
-    """Canonical pol-controlled OAM shift: |H,l> -> |H,l+2q>, |V,l> -> |V,l-2q>."""
-    shift = qp_shift(q)
-    return _placed(_paths_tuple(paths), _shift(space, "pol-controlled shift", shift, -shift))
-
-
-def oam_hadamard_column(paths: Union[str, Iterable[str]]) -> ColumnFn:
-    """Canonical OAM Hadamard on the l=+1/-1 sector of each placed path."""
-    ps = _paths_tuple(paths)
-
-    def act(mode: BasisMode) -> list[tuple[BasisMode, complex]]:
-        _check_sign(mode, "OAM Hadamard", ps)
-        plus = BasisMode(mode.pol, 1, mode.path)
-        minus = BasisMode(mode.pol, -1, mode.path)
-        if mode.oam == 1:
-            return [(plus, complex(_INV_SQRT2)), (minus, complex(_INV_SQRT2))]
-        return [(plus, complex(_INV_SQRT2)), (minus, complex(-_INV_SQRT2))]
-
-    return _placed(ps, act)
-
-
-def oam_flip_column(paths: Union[str, Iterable[str]]) -> ColumnFn:
-    """Canonical phase-free OAM flip |l> -> |-l> on each placed path."""
-
-    def act(mode: BasisMode) -> list[tuple[BasisMode, complex]]:
-        return [(BasisMode(mode.pol, -mode.oam, mode.path), 1.0 + 0.0j)]
-
-    return _placed(_paths_tuple(paths), act)
-
 
 # -- decompositions -----------------------------------------------------
 
@@ -197,24 +156,21 @@ class EquivalenceReport:
         )
 
 
-Applier = Callable[[PhotonState], PhotonState]
-
-
 def gate_equiv(
-    op_a: Applier,
-    op_b: Applier,
+    gate_a: Sequence[Element],
+    gate_b: Sequence[Element],
     space: ModeSpace,
     domain: Sequence[BasisMode],
     tol: float = 1e-12,
 ) -> EquivalenceReport:
-    """Compare two gates on a basis domain, up to one global unit scale.
+    """Compare two element lists on a basis domain, up to one global unit scale.
 
     The scale is read off the first output amplitude where both images are
     nonzero; the report then carries the max entrywise deviation
     ``|U_a - c U_b|`` over all domain columns.
     """
-    cols_a = [op_a(basis_state(space, *m)) for m in domain]
-    cols_b = [op_b(basis_state(space, *m)) for m in domain]
+    cols_a = [apply_elements(basis_state(space, *m), gate_a) for m in domain]
+    cols_b = [apply_elements(basis_state(space, *m), gate_b) for m in domain]
 
     scale: complex | None = None
     for sa, sb in zip(cols_a, cols_b):

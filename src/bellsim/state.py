@@ -31,8 +31,6 @@ __all__ = [
     "TwoPhotonState",
     "basis_state",
     "circular_state",
-    "superpose",
-    "tensor",
     "fidelity",
     "global_phase_between",
     "max_amplitude_difference",
@@ -217,48 +215,6 @@ def basis_state(space: ModeSpace, pol: str, oam: int, path: str) -> PhotonState:
     """
     mode = space.check_mode(BasisMode(pol, oam, path))
     return PhotonState(space, {mode: 1.0 + 0.0j})
-
-
-def superpose(terms: Iterable[tuple[complex, State]]) -> State:
-    """Normalized linear combination of same-space states.
-
-    Args:
-        terms: (coefficient, state) pairs; all states must share one mode
-            space and arity.
-
-    Raises:
-        ZeroNorm: if the combination has (almost) zero total norm.
-        DimensionMismatch: if the states disagree on space or photon count.
-    """
-    terms = list(terms)
-    if not terms:
-        raise ZeroNorm("superpose called with no terms")
-    first = terms[0][1]
-    amps: dict = {}
-    for coeff, st in terms:
-        if st.space != first.space or type(st) is not type(first):
-            raise DimensionMismatch("superpose terms live in different spaces")
-        for mode, a in st.amplitudes.items():
-            amps[mode] = amps.get(mode, 0.0 + 0.0j) + coeff * a
-    amps = _clean(amps)
-    nrm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-    if nrm < NORM_TOL:
-        raise ZeroNorm("superposition has zero norm")
-    amps = {m: a / nrm for m, a in amps.items()}
-    if isinstance(first, PhotonState):
-        return PhotonState(first.space, amps)
-    return TwoPhotonState(first.space, amps)
-
-
-def tensor(state_a: PhotonState, state_b: PhotonState) -> TwoPhotonState:
-    """Ordered product state (photon A factor first)."""
-    if state_a.space != state_b.space:
-        raise DimensionMismatch("tensor factors live in different mode spaces")
-    amps: dict[tuple[BasisMode, BasisMode], complex] = {}
-    for ma, aa in state_a.amplitudes.items():
-        for mb, ab in state_b.amplitudes.items():
-            amps[(ma, mb)] = aa * ab
-    return TwoPhotonState(state_a.space, _clean(amps))
 
 
 def _check_comparable(x: State, y: State) -> None:

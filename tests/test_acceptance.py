@@ -27,7 +27,7 @@ from bellsim.analyzer import (
 )
 from bellsim.circuit import builtin_document, parse_circuit, print_circuit
 from bellsim.elements import (
-    apply_column,
+    Element,
     apply_element,
     apply_elements,
     bs,
@@ -45,12 +45,9 @@ from bellsim.elements import (
 from bellsim.errors import CircuitSemanticError, CircuitSyntaxError
 from bellsim.gates import (
     gate_equiv,
-    oam_flip_column,
-    oam_hadamard_column,
     oam_hadamard_decomposition,
     path_router_decomposition,
     path_router_stage_groups,
-    pol_shift_column,
     pol_shift_decomposition,
 )
 from bellsim.state import (
@@ -127,7 +124,7 @@ def test_acceptance_4_gate_truth_tables():
         space = ModeSpace(lmax=3, paths=("a", "b"))
 
         # polarization-conditional OAM shift, exhaustive away from the cut
-        col = pol_shift_column(Fraction(1, 2), ("a",), space)
+        col = element_column(Element("p_cos", ("a",), {"q": Fraction(1, 2)}), space)
         for l in (-2, -1, 0, 1, 2):
             for pol, dl_ in (("H", 1), ("V", -1)):
                 out = col(BasisMode(pol, l, "a"))
@@ -146,7 +143,7 @@ def test_acceptance_4_gate_truth_tables():
                 ]
 
         # OAM Hadamard on the +-1 sector
-        hcol = oam_hadamard_column(("a",))
+        hcol = element_column(Element("oh", ("a",)), space)
         r = 1 / math.sqrt(2)
         for pol in ("H", "V"):
             plus = dict(hcol(BasisMode(pol, 1, "a")))
@@ -157,7 +154,7 @@ def test_acceptance_4_gate_truth_tables():
             assert abs(minus[BasisMode(pol, -1, "a")] + r) < EXACT
 
         # phase-free parity flip, total on the whole ladder
-        fcol = oam_flip_column(("a",))
+        fcol = element_column(Element("dp_stage", ("a",)), space)
         for l in range(-3, 4):
             for pol in ("H", "V"):
                 assert fcol(BasisMode(pol, l, "a")) == [
@@ -184,12 +181,9 @@ def test_acceptance_5_decompositions():
             for pol in ("H", "V")
         ]
 
-        def seq(elements):
-            return lambda s: apply_elements(s, elements)
-
         rep = gate_equiv(
-            lambda s: apply_column(s, pol_shift_column(Fraction(1, 2), ("a", "b"), space)),
-            seq(pol_shift_decomposition(Fraction(1, 2), ("a", "b"))),
+            [Element("p_cos", ("a", "b"), {"q": Fraction(1, 2)})],
+            pol_shift_decomposition(Fraction(1, 2), ("a", "b")),
             space,
             [
                 BasisMode(pol, oam, path)
@@ -202,8 +196,8 @@ def test_acceptance_5_decompositions():
         assert rep.equivalent and abs(rep.scale - 1.0) < EXACT, str(rep)
 
         rep = gate_equiv(
-            lambda s: apply_element(s, oam_sorter("a", "b")),
-            seq(path_router_decomposition("a", "b")),
+            [oam_sorter("a", "b")],
+            path_router_decomposition("a", "b"),
             space,
             sign_domain,
             tol=EXACT,
@@ -212,8 +206,8 @@ def test_acceptance_5_decompositions():
 
         big = space.extended(("anc",))
         rep = gate_equiv(
-            lambda s: apply_column(s, oam_hadamard_column(("a",))),
-            seq(oam_hadamard_decomposition("a", "anc")),
+            [Element("oh", ("a",))],
+            oam_hadamard_decomposition("a", "anc"),
             big,
             [BasisMode(pol, oam, "a") for oam in (1, -1) for pol in ("H", "V")],
             tol=EXACT,

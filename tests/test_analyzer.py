@@ -22,7 +22,7 @@ from bellsim.analyzer import (
 from bellsim.circuit import builtin_document, parse_circuit
 from bellsim.errors import MalformedPattern
 from bellsim.measurement import enumerate_patterns, parse_pattern
-from bellsim.state import fidelity, superpose
+from bellsim.state import TwoPhotonState, fidelity
 
 UNIFORM = 1 / 16
 
@@ -279,7 +279,11 @@ def test_superposed_inputs_classify_by_weight():
     for _ in range(10):
         coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         coeffs /= np.linalg.norm(coeffs)
-        mixed = superpose(zip(map(complex, coeffs), basis))
+        amps = {}
+        for coeff, state in zip(map(complex, coeffs), basis):
+            for key, amp in state.amplitudes.items():
+                amps[key] = amps.get(key, 0j) + coeff * amp
+        mixed = TwoPhotonState(basis[0].space, amps)
         dist = analyze_state(mixed)
         weights = np.abs(coeffs) ** 2
         for pattern in enumerate_patterns(("a1", "b1"), ("a2", "b2")):

@@ -385,6 +385,26 @@ def test_validator_reports_a_compile_failure_without_the_stage_prefix():
     assert str(validate(circuit)) == "error: stage 1: 2q must be an integer, got q=1/3"
 
 
+@pytest.mark.parametrize(
+    "stage,message",
+    [
+        (Stage("hwp", "A", (), {"theta": 0.1}), "hwp needs at least one path"),
+        (Stage("hwp", "A", ("a1",), {}), "missing required key theta="),
+        (Stage("hwp", "A", ("a1",), {"theta": "x"}), "bad theta value 'x'"),
+        (Stage("qwp", "A", ("a1",), {"theta": 0.1}), "unknown key 'theta'"),
+        (Stage("bs", "A", ("a1",), {}), "bs needs exactly two paths, got 1"),
+        (Stage("pp", "A", ("a1",), {"phi": 0.1, "pol": "X"}), "bad pol value 'X'"),
+        (Stage("oh", "A", ("a1",), {}, impl="weird"), "bad impl 'weird'; expected canonical or decomposed"),
+    ],
+    ids=["no-paths", "missing-key", "bad-value", "unknown-key", "arity", "pol", "impl"],
+)
+def test_validator_reports_what_the_parser_rejects_in_a_circuit_built_in_code(stage, message):
+    """The parser rejects each of these in text; built in code, validate
+    reports it as an error at its stage instead of raising or compiling it."""
+    report = validate(Circuit(4, ("a1", "a2", "b1", "b2"), (stage,)))
+    assert [str(i) for i in report.issues if i.severity == "error"] == [f"error: stage 1: {message}"]
+
+
 _TWO_OVERFLOWS_AT_ONE_STAGE = """
 from bellsim.circuit import parse_circuit
 from bellsim.engine import validate

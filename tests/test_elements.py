@@ -322,6 +322,9 @@ def test_every_kind_is_identity_off_placement_and_checks_paths():
         "pbs": lambda ps: pbs(*ps),
         "oam_sorter": lambda ps: oam_sorter(*ps),
         "dl": lambda ps: dl(ps),
+        "p_cos": lambda ps: Element("p_cos", ps, {"q": Fraction(1, 2)}),
+        "oh": lambda ps: Element("oh", ps),
+        "dp_stage": lambda ps: Element("dp_stage", ps),
     }
     assert set(samples) == set(ACTIONS)
     for kind, make in samples.items():

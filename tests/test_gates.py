@@ -19,7 +19,7 @@ import pytest
 from hadamard_rows import hadamard_row_report
 
 from bellsim.elements import (
-    apply_column,
+    Element,
     apply_element,
     apply_elements,
     oam_sorter,
@@ -27,13 +27,10 @@ from bellsim.elements import (
 from bellsim.errors import UnsortableOam
 from bellsim.gates import (
     gate_equiv,
-    oam_flip_column,
     oam_flip_decomposition,
-    oam_hadamard_column,
     oam_hadamard_decomposition,
     path_router_decomposition,
     path_router_stage_groups,
-    pol_shift_column,
     pol_shift_decomposition,
 )
 from bellsim.state import (
@@ -55,6 +52,18 @@ SIGN_DOMAIN = [
 ]
 
 
+def p_cos(*paths):
+    return Element("p_cos", paths, {"q": Fraction(1, 2)})
+
+
+def oh(*paths):
+    return Element("oh", paths)
+
+
+def dp_stage(*paths):
+    return Element("dp_stage", paths)
+
+
 # -- canonical truth tables ---------------------------------------------
 
 
@@ -62,9 +71,7 @@ SIGN_DOMAIN = [
 def test_pol_shift_truth_table(pol, sign):
     """H gains 2q quanta, V loses 2q, polarization untouched."""
     for l0 in (-2, 0, 2):
-        out = apply_column(
-            basis_state(SPACE, pol, l0, "a"), pol_shift_column(Fraction(1, 2), "a", SPACE)
-        )
+        out = apply_element(basis_state(SPACE, pol, l0, "a"), p_cos("a"))
         assert abs(out.amplitude(BasisMode(pol, l0 + sign, "a")) - 1.0) < TOL
 
 
@@ -85,10 +92,10 @@ def test_path_router_rejects_other_oam():
 
 def test_oam_hadamard_truth_table():
     s = 1 / math.sqrt(2)
-    plus = apply_column(basis_state(SPACE, "H", 1, "a"), oam_hadamard_column("a"))
+    plus = apply_element(basis_state(SPACE, "H", 1, "a"), oh("a"))
     assert abs(plus.amplitude(BasisMode("H", 1, "a")) - s) < TOL
     assert abs(plus.amplitude(BasisMode("H", -1, "a")) - s) < TOL
-    minus = apply_column(basis_state(SPACE, "H", -1, "a"), oam_hadamard_column("a"))
+    minus = apply_element(basis_state(SPACE, "H", -1, "a"), oh("a"))
     assert abs(minus.amplitude(BasisMode("H", 1, "a")) - s) < TOL
     assert abs(minus.amplitude(BasisMode("H", -1, "a")) + s) < TOL
 
@@ -96,25 +103,18 @@ def test_oam_hadamard_truth_table():
 def test_oam_hadamard_is_involutive_on_domain():
     for mode in SIGN_DOMAIN:
         st = basis_state(SPACE, *mode)
-        hadamard = oam_hadamard_column(("a", "b"))
-        out = apply_column(apply_column(st, hadamard), hadamard)
+        hadamard = oh("a", "b")
+        out = apply_element(apply_element(st, hadamard), hadamard)
         assert max_amplitude_difference(out, st) < TOL
 
 
 def test_oam_flip_truth_table():
     for l0 in (-3, -1, 0, 2):
-        out = apply_column(basis_state(SPACE, "V", l0, "a"), oam_flip_column("a"))
+        out = apply_element(basis_state(SPACE, "V", l0, "a"), dp_stage("a"))
         assert abs(out.amplitude(BasisMode("V", -l0, "a")) - 1.0) < TOL
 
 
 # -- decompositions -----------------------------------------------------
-
-
-def _apply_seq(elements):
-    def run(state):
-        return apply_elements(state, elements)
-
-    return run
 
 
 def test_pol_shift_decomposition_matches():
@@ -126,8 +126,8 @@ def test_pol_shift_decomposition_matches():
         for pol in ("H", "V")
     ]
     report = gate_equiv(
-        lambda s: apply_column(s, pol_shift_column(Fraction(1, 2), ("a", "b"), SPACE)),
-        _apply_seq(elements),
+        [p_cos("a", "b")],
+        elements,
         SPACE,
         domain,
         tol=TOL,
@@ -140,8 +140,8 @@ def test_router_decomposition_matches():
     elements = path_router_decomposition("a", "b")
     assert elements == [e for _, els in path_router_stage_groups("a", "b") for e in els]
     report = gate_equiv(
-        lambda s: apply_element(s, oam_sorter("a", "b")),
-        _apply_seq(elements),
+        [oam_sorter("a", "b")],
+        elements,
         SPACE,
         SIGN_DOMAIN,
         tol=TOL,
@@ -199,8 +199,8 @@ def test_router_without_arm_prisms_is_not_equivalent():
     broken = [e for name, els in groups if name != "arm dove prisms" for e in els]
     assert not any(e.kind == "dp" for e in broken)
     report = gate_equiv(
-        lambda s: apply_element(s, oam_sorter("a", "b")),
-        _apply_seq(broken),
+        [oam_sorter("a", "b")],
+        broken,
         SPACE,
         SIGN_DOMAIN,
         tol=TOL,
@@ -214,8 +214,8 @@ def test_oam_hadamard_decomposition_matches():
     elements = oam_hadamard_decomposition("a", "anc")
     domain = [BasisMode(pol, oam, "a") for oam in (1, -1) for pol in ("H", "V")]
     report = gate_equiv(
-        lambda s: apply_column(s, oam_hadamard_column("a")),
-        _apply_seq(elements),
+        [oh("a")],
+        elements,
         big,
         domain,
         tol=TOL,
@@ -246,8 +246,8 @@ def test_oam_flip_decomposition_exact_on_correlated_sector():
     elements = oam_flip_decomposition("a")
     sector = [BasisMode("H", 1, "a"), BasisMode("V", -1, "a")]
     report = gate_equiv(
-        lambda s: apply_column(s, oam_flip_column("a")),
-        _apply_seq(elements),
+        [dp_stage("a")],
+        elements,
         SPACE,
         sector,
         tol=TOL,
@@ -258,10 +258,10 @@ def test_oam_flip_decomposition_exact_on_correlated_sector():
 
 def test_oam_flip_decomposition_differs_off_sector():
     """Outside the correlated sector the shortcut picks up signs; the
-    canonical column stays the contract there."""
+    canonical element stays the contract there."""
     elements = oam_flip_decomposition("a")
     out = apply_elements(basis_state(SPACE, "H", -1, "a"), elements)
-    canon = apply_column(basis_state(SPACE, "H", -1, "a"), oam_flip_column("a"))
+    canon = apply_element(basis_state(SPACE, "H", -1, "a"), dp_stage("a"))
     assert max_amplitude_difference(out, canon) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -287,14 +287,14 @@ def test_hadamard_rows_residual_phases_frozen():
 
 
 _BROKEN_ROUTER_WITNESS = """
-from bellsim.elements import apply_element, apply_elements, oam_sorter
+from bellsim.elements import oam_sorter
 from bellsim.gates import gate_equiv, path_router_stage_groups
 from bellsim.state import BasisMode, ModeSpace
 broken = [e for name, els in path_router_stage_groups("a", "b") if name != "arm dove prisms" for e in els]
 domain = [BasisMode(pol, oam, path) for path in ("a", "b") for oam in (1, -1) for pol in ("H", "V")]
 report = gate_equiv(
-    lambda s: apply_element(s, oam_sorter("a", "b")),
-    lambda s: apply_elements(s, broken),
+    [oam_sorter("a", "b")],
+    broken,
     ModeSpace(lmax=4, paths=("a", "b")),
     domain,
 )

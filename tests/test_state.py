@@ -19,8 +19,6 @@ from bellsim.state import (
     fidelity,
     global_phase_between,
     max_amplitude_difference,
-    superpose,
-    tensor,
 )
 
 SPACE = ModeSpace(lmax=2, paths=("a", "b"))
@@ -66,52 +64,9 @@ def test_basis_state_is_normalized():
     assert st.amplitude(BasisMode("V", 1, "b")) == 1.0 + 0.0j
 
 
-def test_superpose_normalizes():
-    st = superpose(
-        [
-            (1.0, basis_state(SPACE, "H", 0, "a")),
-            (1.0j, basis_state(SPACE, "V", 0, "a")),
-        ]
-    )
-    assert st.norm() == pytest.approx(1.0)
-    assert abs(st.amplitude(BasisMode("H", 0, "a"))) == pytest.approx(1 / math.sqrt(2))
-
-
-def test_superpose_zero_norm():
-    s = basis_state(SPACE, "H", 0, "a")
-    with pytest.raises(ZeroNorm):
-        superpose([(1.0, s), (-1.0, s)])
-
-
-def test_superpose_mixed_spaces_rejected():
-    other = ModeSpace(lmax=2, paths=("a",))
-    with pytest.raises(DimensionMismatch):
-        superpose(
-            [
-                (1.0, basis_state(SPACE, "H", 0, "a")),
-                (1.0, basis_state(other, "H", 0, "a")),
-            ]
-        )
-
-
-def test_tensor_amplitudes_multiply():
-    sa = superpose(
-        [
-            (1.0, basis_state(SPACE, "H", 0, "a")),
-            (1.0, basis_state(SPACE, "H", 0, "b")),
-        ]
-    )
-    sb = basis_state(SPACE, "V", 1, "a")
-    joint = tensor(sa, sb)
-    assert isinstance(joint, TwoPhotonState)
-    assert joint.norm() == pytest.approx(1.0)
-    key = (BasisMode("H", 0, "a"), BasisMode("V", 1, "a"))
-    assert joint.amplitude(key) == pytest.approx(1 / math.sqrt(2))
-
-
 def test_fidelity_and_phase():
     x = basis_state(SPACE, "H", 0, "a")
-    y = superpose([(1.0j, basis_state(SPACE, "H", 0, "a"))])
+    y = PhotonState(SPACE, {BasisMode("H", 0, "a"): 1.0j})
     assert fidelity(x, y) == pytest.approx(1.0)
     # c with y ~ c * x
     assert global_phase_between(x, y) == pytest.approx(1.0j)
