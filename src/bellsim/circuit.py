@@ -14,28 +14,33 @@ Directives may be preceded/followed by blank lines and ``#`` comments.
 ``lmax`` (default 4) and the two ``photon`` lines (default A, B) are
 optional; ``paths`` must precede any stage that uses them. Stage lines
 take ``photon=`` and ``paths=`` plus kind-specific ``key=value`` pairs;
-unknown kinds and unknown keys are rejected with a line/column diagnostic.
+every rejected line gets a line/column diagnostic.
 
 Angles are written either as decimal numbers or as rational multiples of
 pi (``pi/8``, ``-pi/4``, ``3pi/4``); the pi forms are preserved exactly
 and round-trip through the canonical printer.
 
-Every stage kind is declared once, in ``STAGE_KINDS``: the parser, the
-printer, the compiler and the validator all read it.  A stage builds
-placed elements; the engine turns them into column functions.
+Every stage kind is declared once, in ``STAGE_KINDS``, which the parser,
+printer, compiler and validator read; every rule a stage must meet is
+stated once, in ``stage_problems``: the parser raises the first at its
+line and column, ``engine.validate`` reports each, and
+``engine.compile_circuit`` refuses the stage.  A stage builds placed
+elements; the engine turns them into column functions.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
+from numbers import Integral, Rational
 from typing import Callable, NamedTuple
 
 from . import elements as el
 from . import gates
 from .errors import CircuitSemanticError, CircuitSyntaxError
-from .state import DEFAULT_LMAX, ModeSpace
+from .state import DEFAULT_LMAX, POLARIZATIONS, ModeSpace
 
 __all__ = [
     "Stage",
@@ -121,6 +126,7 @@ class KindSpec:
             decomposition).
         sign_domain: the stage only acts on l=+1/-1.
         ancilla: the decomposed form borrows ``ANCILLA_PATH``.
+        types: each kind-specific key's value type (``Param.type``).
     """
 
     name: str
@@ -131,11 +137,15 @@ class KindSpec:
     sign_domain: bool = False
     ancilla: bool = False
 
+    @cached_property
+    def types(self) -> dict[str, str]:
+        return {p.key: p.type for p in self.params}
+
 
 def _as_element(stage: Stage, impl: str) -> list[el.Element]:
     """The stage as one element of its own kind, its angles in radians."""
-    angles = {p.key for p in STAGE_KINDS[stage.kind].params if p.type == "angle"}
-    params = {k: angle_value(v) if k in angles else v for k, v in stage.params.items()}
+    types = STAGE_KINDS[stage.kind].types
+    params = {k: angle_value(v) if types[k] == "angle" else v for k, v in stage.params.items()}
     return [el.Element(stage.kind, stage.paths, params)]
 
 
@@ -194,11 +204,73 @@ STAGE_KINDS: dict[str, KindSpec] = {
 }
 
 
+#: per ``Param.type`` but "pol", the values the parser reads and those that print as text it reads back
+_VALUE_TYPES = {"angle": (PiAngle, Integral, float), "fraction": (Rational, float), "int": (Integral,)}
+
+
+def stage_problems(stage: Stage, declared: tuple[str, ...]):
+    """Every rule of its kind that a stage breaks, as (error class, key,
+    message): the key whose value the parser points at (``photon``,
+    ``paths``, ``impl`` or a parameter), or None where it points at the
+    line start (the kind, the path count, a missing key, the 2q rule).
+
+    The parser raises the first at that key's value, ``validate`` reports
+    them all, and ``compile_circuit`` raises the first; each adds where
+    the stage is, so no message names it.
+    """
+    spec = STAGE_KINDS.get(stage.kind)
+    if spec is None:
+        yield CircuitSyntaxError, None, f"unknown stage kind {stage.kind!r}"
+    if stage.photon not in PHOTONS:
+        yield CircuitSemanticError, "photon", f"unknown photon {stage.photon!r}; expected A or B"
+    for p in stage.paths:
+        if p not in declared:
+            message = f"path {p!r} is not declared (declared: {', '.join(declared) or 'none'})"
+            yield CircuitSemanticError, "paths", message
+    if spec is None:
+        return
+    if spec.arity is not None and len(stage.paths) != spec.arity:
+        count = ("one path", "two paths")[spec.arity - 1]
+        yield CircuitSemanticError, None, f"{stage.kind} needs exactly {count}, got {len(stage.paths)}"
+    elif not stage.paths:
+        yield CircuitSemanticError, None, f"{stage.kind} needs at least one path"
+    elif spec.arity == 2 and stage.paths[0] == stage.paths[1]:
+        yield CircuitSemanticError, None, f"{stage.kind} placed on the same path twice ({stage.paths[0]})"
+    for p in spec.params:
+        if p.required and p.key not in stage.params:
+            yield CircuitSyntaxError, None, f"missing required key {p.key}="
+    for key, value in stage.params.items():
+        tag = spec.types.get(key)
+        if tag is None:
+            yield CircuitSyntaxError, key, f"unknown key {key!r}"
+        elif tag == "pol":
+            if value not in POLARIZATIONS:
+                yield CircuitSemanticError, key, f"bad polarization {value!r}; expected H or V"
+        elif isinstance(value, bool) or not isinstance(value, _VALUE_TYPES[tag]):
+            yield CircuitSemanticError, key, f"bad {key} value {value!r}"
+        elif tag == "fraction" and (2 * value) % 1:
+            yield CircuitSemanticError, None, f"{key} must be an integer or half-integer, got {value}"
+    if stage.impl not in ("canonical", "decomposed"):
+        yield CircuitSemanticError, "impl", f"bad impl {stage.impl!r}; expected canonical or decomposed"
+    elif stage.impl != "canonical" and not spec.composite:
+        yield CircuitSyntaxError, "impl", "unknown key 'impl'"
+
+
 # -- parsing ------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\S+")
 _PATH_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 _PI_RE = re.compile(r"^([+-]?)(\d+)?pi(?:/(\d+))?$")
+
+
+def label_problems(labels: tuple[str, ...]):
+    """Each label of a ``paths`` declaration the parser rejects, as
+    (its position, error class, message)."""
+    for at, label in enumerate(labels):
+        if not _PATH_RE.match(label):
+            yield at, CircuitSyntaxError, f"bad path label {label!r}; expected letters/digits/underscore"
+        elif label in labels[:at]:
+            yield at, CircuitSemanticError, f"duplicate path label {label!r}"
 
 
 def _tokens(line: str) -> list[tuple[str, int]]:
@@ -241,19 +313,7 @@ def _parse_value(tag: str, text: str, lineno: int, col: int):
             raise CircuitSyntaxError(
                 f"bad integer {text!r}", lineno, col
             ) from None
-    if tag == "pol":
-        if text not in ("H", "V"):
-            raise CircuitSemanticError(
-                f"bad polarization {text!r}; expected H or V", lineno, col
-            )
-        return text
-    if tag == "impl":
-        if text not in ("canonical", "decomposed"):
-            raise CircuitSemanticError(
-                f"bad impl {text!r}; expected canonical or decomposed", lineno, col
-            )
-        return text
-    raise AssertionError(tag)  # pragma: no cover
+    return text  # a pol selector, kept as written: stage_problems checks it
 
 
 def _format_value(value) -> str:
@@ -271,6 +331,11 @@ def _format_value(value) -> str:
 
 
 def _parse_stage(tokens: list[tuple[str, int]], lineno: int, declared: tuple[str, ...]) -> Stage:
+    """Read a stage line, then raise its first ``stage_problems`` at the
+    column of the value that breaks it, or at the line start.  Only what
+    needs the text is checked here: the token shapes, the kind and each key
+    (a value is read by its key's type), duplicate keys, value syntax, and
+    that ``photon=`` and ``paths=`` are given."""
     if len(tokens) < 2:
         raise CircuitSyntaxError(
             "missing stage kind; expected one of: " + ", ".join(STAGE_KINDS),
@@ -285,22 +350,17 @@ def _parse_stage(tokens: list[tuple[str, int]], lineno: int, declared: tuple[str
             kind_col,
         )
     spec = STAGE_KINDS[kind]
-    types = {p.key: p.type for p in spec.params}
-    allowed = set(types) | {"photon", "paths"} | ({"impl"} if spec.composite else set())
+    allowed = set(spec.types) | {"photon", "paths"} | ({"impl"} if spec.composite else set())
 
-    photon: str | None = None
-    paths: tuple[str, ...] | None = None
+    fields: dict = {}  # photon, paths and impl, as Stage's keyword arguments
     params: dict = {}
-    impl = "canonical"
-    seen: set[str] = set()
-
+    value_cols: dict[str, int] = {}
     for text, col in tokens[2:]:
         if "=" not in text:
             raise CircuitSyntaxError(
                 f"expected key=value, got {text!r}", lineno, col
             )
         key, _, raw = text.partition("=")
-        val_col = col + len(key) + 1
         if key not in allowed:
             raise CircuitSyntaxError(
                 f"unknown key {key!r} for stage {kind}; expected one of: "
@@ -308,65 +368,30 @@ def _parse_stage(tokens: list[tuple[str, int]], lineno: int, declared: tuple[str
                 lineno,
                 col,
             )
-        if key in seen:
+        if key in value_cols:
             raise CircuitSyntaxError(f"duplicate key {key!r}", lineno, col)
-        seen.add(key)
-        if key == "photon":
-            if raw not in PHOTONS:
-                raise CircuitSemanticError(
-                    f"unknown photon {raw!r}; expected A or B", lineno, val_col
-                )
-            photon = raw
-        elif key == "paths":
-            parts = raw.split(",")
-            if any(not p for p in parts):
+        value_cols[key] = col + len(key) + 1
+        if key == "paths":
+            if not all(raw.split(",")):
                 raise CircuitSyntaxError(
                     f"bad path list {raw!r}; expected comma-separated labels",
                     lineno,
-                    val_col,
+                    value_cols[key],
                 )
-            for p in parts:
-                if p not in declared:
-                    raise CircuitSemanticError(
-                        f"path {p!r} is not declared (declared: {', '.join(declared) or 'none'})",
-                        lineno,
-                        val_col,
-                    )
-            paths = tuple(parts)
-        elif key == "impl":
-            impl = _parse_value("impl", raw, lineno, val_col)
+            fields[key] = tuple(raw.split(","))
+        elif key in spec.types:
+            params[key] = _parse_value(spec.types[key], raw, lineno, value_cols[key])
         else:
-            params[key] = _parse_value(types[key], raw, lineno, val_col)
+            fields[key] = raw
 
     start = tokens[0][1]
-    if photon is None:
-        raise CircuitSyntaxError("missing required key photon=", lineno, start)
-    if paths is None:
-        raise CircuitSyntaxError("missing required key paths=", lineno, start)
-    for p in spec.params:
-        if p.required and p.key not in params:
-            raise CircuitSyntaxError(
-                f"missing required key {p.key}= for stage {kind}", lineno, start
-            )
-
-    if spec.arity is not None and len(paths) != spec.arity:
-        raise CircuitSemanticError(
-            f"stage {kind} needs exactly {('one path', 'two paths')[spec.arity - 1]}, "
-            f"got {len(paths)}",
-            lineno,
-            start,
-        )
-    if spec.arity == 2 and paths[0] == paths[1]:
-        raise CircuitSemanticError(
-            f"stage {kind} placed on the same path twice ({paths[0]})", lineno, start
-        )
-    for key, value in params.items():
-        if types[key] == "fraction" and (2 * value).denominator != 1:
-            raise CircuitSemanticError(
-                f"{key} must be an integer or half-integer, got {value}", lineno, start
-            )
-
-    return Stage(kind, photon, paths, params, impl, lineno)
+    for key in ("photon", "paths"):
+        if key not in fields:
+            raise CircuitSyntaxError(f"missing required key {key}=", lineno, start)
+    stage = Stage(kind, params=params, line=lineno, **fields)
+    for cls, key, message in stage_problems(stage, declared):  # raise the first
+        raise cls(message, lineno, value_cols.get(key, start))
+    return stage
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -423,20 +448,9 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitSemanticError("duplicate paths directive", lineno, head_col)
             if len(toks) < 2:
                 raise CircuitSyntaxError("expected: paths <label> [<label> ...]", lineno, head_col)
-            labels = []
-            for text_tok, col in toks[1:]:
-                if not _PATH_RE.match(text_tok):
-                    raise CircuitSyntaxError(
-                        f"bad path label {text_tok!r}; expected letters/digits/underscore",
-                        lineno,
-                        col,
-                    )
-                if text_tok in labels:
-                    raise CircuitSemanticError(
-                        f"duplicate path label {text_tok!r}", lineno, col
-                    )
-                labels.append(text_tok)
-            paths = tuple(labels)
+            paths = tuple(label for label, _ in toks[1:])
+            for at, cls, message in label_problems(paths):  # raise the first
+                raise cls(message, lineno, toks[1 + at][1])
         elif head == "stage":
             stages.append(_parse_stage(toks, lineno, paths or ()))
         else:

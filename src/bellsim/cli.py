@@ -135,7 +135,7 @@ def _load_circuit(args) -> Circuit:
         try:
             with open(ref, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _Usage(f"cannot read circuit {ref!r}: {exc}") from exc
         origin = ref
     try:

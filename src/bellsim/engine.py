@@ -19,8 +19,11 @@ ancilla, and ``restrict_to_circuit``'s leak scan runs on a count only if a
 row of its transfer matrices, noted per build, lies on the ancilla path.
 Light an op cannot take is parked beside its column with the error that
 parked it; a state raises that error, naming its stage and element, only
-if its joint amplitudes on the parked light do not cancel.  ``validate`` compiles every
-plan the CLI can run and reads its issues off the same pushes.
+if its joint amplitudes on the parked light do not cancel.  ``compile_circuit``
+first refuses a stage that breaks a rule of ``circuit.stage_problems``, the
+rules the parser applies; ``validate`` reports each of those, and only for
+a circuit that breaks none compiles every plan the CLI can run and reads
+its issues off the same pushes.
 ``assemble`` builds dense per-photon matrices for the same plan from each
 op's block in :mod:`bellsim.blocks`: the physics restated, not the column
 functions the pushes run, so the two evolutions check each other.  Each
@@ -37,13 +40,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice, product
-from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
 
 from . import blocks
-from .circuit import ANCILLA_PATH, PHOTONS, STAGE_KINDS, Circuit, PiAngle, Stage
+from .circuit import ANCILLA_PATH, PHOTONS, STAGE_KINDS, Circuit, label_problems, stage_problems
 from .elements import SIGN_DOMAIN, ColumnFn, Element, element_column
 from .errors import BellSimError, DimensionCap, LeakedAmplitude, UnsortableOam
 from .state import DROP_EPS, POLARIZATIONS, BasisMode, ModeSpace, TwoPhotonState, _clean
@@ -134,9 +136,14 @@ def compile_circuit(circuit: Circuit, impl_override: str | None = None) -> Plan:
 
     Raises:
         BellSimError: an element the space cannot take, as "stage N (label): ...".
-        ValueError: a bad override, or a stage whose photon is not in
-            ``PHOTONS`` (only a circuit built in code can have one).
+        ValueError: a bad override, or a stage that breaks a rule of its
+            kind, as "stage N (label): ..." with the first of its
+            ``circuit.stage_problems`` (only a circuit built in code can
+            hold one: the parser rejects them).
     """
+    for idx, stage in enumerate(circuit.stages):
+        for _, _, message in stage_problems(stage, circuit.paths):  # raise the first
+            raise ValueError(f"stage {idx + 1} ({stage.header()}): {message}")
     impls, space, ancilla = _resolve(circuit, impl_override)
     compiled: list[CompiledStage] = []
     origins: dict[str, list[str]] = {p: [] for p in PHOTONS}
@@ -144,8 +151,6 @@ def compile_circuit(circuit: Circuit, impl_override: str | None = None) -> Plan:
     for idx, (stage, impl) in enumerate(zip(circuit.stages, impls)):
         build = STAGE_KINDS[stage.kind].build
         label = stage.header()
-        if stage.photon not in PHOTONS:
-            raise ValueError(f"stage {idx + 1} ({label}): photon {stage.photon!r} is not declared")
         if build is None:
             if stage.paths[0] not in origins[stage.photon]:  # a repeated sppm counts once
                 origins[stage.photon].append(stage.paths[0])
@@ -246,50 +251,15 @@ def _pushed_issues(circuit: Circuit, override: str | None) -> list[ValidationIss
     return issues
 
 
-#: whether a stage parameter's value is one its type (``Param.type``) can hold
-_VALUE_OK = {
-    "angle": lambda v: isinstance(v, (PiAngle, Real)),
-    "fraction": lambda v: isinstance(v, Real),
-    "int": lambda v: isinstance(v, Integral),
-    "pol": lambda v: v in POLARIZATIONS,
-}
-
-
-def _stage_problems(stage: Stage, declared: set[str]):
-    """What the parser rejects in a stage, as messages: a circuit built in
-    code has not been through it."""
-    spec = STAGE_KINDS.get(stage.kind)
-    if spec is None:
-        yield f"unknown stage kind {stage.kind!r}"
-    yield from (f"path {p!r} is not declared" for p in stage.paths if p not in declared)
-    if stage.photon not in PHOTONS:
-        yield f"photon {stage.photon!r} is not declared"
-    if spec is None:
-        return
-    if spec.arity is not None and len(stage.paths) != spec.arity:
-        yield f"{stage.kind} needs exactly {('one path', 'two paths')[spec.arity - 1]}, got {len(stage.paths)}"
-    elif not stage.paths:
-        yield f"{stage.kind} needs at least one path"
-    elif spec.arity == 2 and stage.paths[0] == stage.paths[1]:
-        yield f"{stage.kind} placed twice on {stage.paths[0]!r}"
-    types = {p.key: p.type for p in spec.params}
-    yield from (f"missing required key {p.key}=" for p in spec.params if p.required and p.key not in stage.params)
-    for key, value in stage.params.items():
-        if key not in types:
-            yield f"unknown key {key!r}"
-        elif not _VALUE_OK[types[key]](value):
-            yield f"bad {key} value {value!r}"
-    if stage.impl not in _IMPLS[1:]:
-        yield f"bad impl {stage.impl!r}; expected canonical or decomposed"
-
-
 def validate(circuit: Circuit) -> ValidationReport:
-    """Static checks: each stage against its kind, then every plan the CLI can run.
+    """Static checks: the declarations and each stage against the parser's rules, then every plan the CLI can run.
 
-    A stage must pass what the parser checks in text (kind, paths and
-    their count, photon, keys, value types, impl); a circuit built in code
-    that fails is reported and not compiled.  The plans are the circuit as
-    written and each impl override that yields a different one.  Each is compiled, and each l=0 basis mode
+    The circuit must pass the rules the parser applies to text: ``lmax``
+    and each path label as the parser words them, with no stage, then
+    every ``circuit.stage_problems`` of each stage at that stage.  A circuit
+    built in code that breaks one is reported and not compiled.  The plans
+    are the circuit as written and each impl override that yields a
+    different one.  Each is compiled, and each l=0 basis mode
     (both polarizations, every declared path, both photons: the
     analyzer's input class) is pushed through it by ``_push``, the same
     push ``propagate`` reads, up to the first op that parked light.  A
@@ -299,11 +269,12 @@ def validate(circuit: Circuit) -> ValidationReport:
     Identical issues are merged; one seen under only some impls names
     them.  Never raises; problems are returned as issues.
     """
-    declared = set(circuit.paths)
-    issues = [
+    issues = [ValidationIssue("error", None, "lmax must be >= 1")] if circuit.lmax < 1 else []
+    issues += [ValidationIssue("error", None, message) for _, _, message in label_problems(circuit.paths)]
+    issues += [
         ValidationIssue("error", idx, message)
         for idx, stage in enumerate(circuit.stages)
-        for message in _stage_problems(stage, declared)
+        for _, _, message in stage_problems(stage, circuit.paths)
     ]
 
     if not issues:

@@ -78,7 +78,7 @@ class DimensionCap(BellSimError):
 
 
 class MalformedPattern(BellSimError):
-    """A coincidence pattern string or tuple that cannot be classified."""
+    """A coincidence pattern that cannot be classified."""
 
 
 class _PositionedError(BellSimError):

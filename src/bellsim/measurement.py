@@ -18,19 +18,17 @@ equals the routed one on every state.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, NamedTuple, NoReturn
 
 from .elements import SIGN_DOMAIN, Element, apply_elements, oam_sorter, pbs
-from .errors import CalibrationFailure, LeakedAmplitude, MalformedPattern, UnsortableOam
+from .errors import CalibrationFailure, LeakedAmplitude, UnsortableOam
 from .state import POL_H, POL_V, POLARIZATIONS, BasisMode, ModeSpace, PhotonState, TwoPhotonState
 
 __all__ = [
     "DetectorId",
     "CoincidencePattern",
-    "parse_pattern",
     "enumerate_patterns",
     "OutcomeDistribution",
     "sppm_project",
@@ -59,29 +57,6 @@ class CoincidencePattern(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.det_a} & {self.det_b}"
-
-
-_DET_RE = re.compile(r"^D\[([+-]1),([HV]),([A-Za-z][A-Za-z0-9_]*)\]$")
-
-
-def parse_detector(text: str) -> DetectorId:
-    """Inverse of ``str(DetectorId)``; raises MalformedPattern."""
-    m = _DET_RE.match(text.strip())
-    if not m:
-        raise MalformedPattern(
-            f"bad detector {text!r}; expected the form D[+1,H,a1]"
-        )
-    return DetectorId(int(m.group(1)), m.group(2), m.group(3))
-
-
-def parse_pattern(text: str) -> CoincidencePattern:
-    """Inverse of ``str(CoincidencePattern)``; raises MalformedPattern."""
-    parts = text.split("&")
-    if len(parts) != 2:
-        raise MalformedPattern(
-            f"bad pattern {text!r}; expected 'D[...] & D[...]'"
-        )
-    return CoincidencePattern(parse_detector(parts[0]), parse_detector(parts[1]))
 
 
 def detectors_for_origins(origins: Iterable[str]) -> tuple[DetectorId, ...]:

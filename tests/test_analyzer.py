@@ -21,7 +21,7 @@ from bellsim.analyzer import (
 )
 from bellsim.circuit import builtin_document, parse_circuit
 from bellsim.errors import MalformedPattern
-from bellsim.measurement import enumerate_patterns, parse_pattern
+from bellsim.measurement import CoincidencePattern, DetectorId, enumerate_patterns
 from bellsim.state import TwoPhotonState, fidelity
 
 UNIFORM = 1 / 16
@@ -64,7 +64,7 @@ def test_classify_and_rows():
 
 
 def test_classify_rejects_foreign_pattern():
-    foreign = parse_pattern("D[+1,H,zz] & D[+1,H,a2]")
+    foreign = CoincidencePattern(DetectorId(1, "H", "zz"), DetectorId(1, "H", "a2"))
     with pytest.raises(MalformedPattern):
         classify(foreign)
 

@@ -28,6 +28,7 @@ from bellsim.circuit import (
     builtin_document,
     parse_circuit,
     print_circuit,
+    stage_problems,
 )
 from bellsim.engine import compile_circuit, propagate, validate
 from bellsim.errors import (
@@ -382,7 +383,7 @@ def test_validator_warns_only_at_the_first_of_two_sorters():
 
 def test_validator_reports_a_compile_failure_without_the_stage_prefix():
     circuit = Circuit(4, ("w",), (Stage("qp", "A", ("w",), {"q": Fraction(1, 3)}),))
-    assert str(validate(circuit)) == "error: stage 1: 2q must be an integer, got q=1/3"
+    assert str(validate(circuit)) == "error: stage 1: q must be an integer or half-integer, got 1/3"
 
 
 @pytest.mark.parametrize(
@@ -393,7 +394,7 @@ def test_validator_reports_a_compile_failure_without_the_stage_prefix():
         (Stage("hwp", "A", ("a1",), {"theta": "x"}), "bad theta value 'x'"),
         (Stage("qwp", "A", ("a1",), {"theta": 0.1}), "unknown key 'theta'"),
         (Stage("bs", "A", ("a1",), {}), "bs needs exactly two paths, got 1"),
-        (Stage("pp", "A", ("a1",), {"phi": 0.1, "pol": "X"}), "bad pol value 'X'"),
+        (Stage("pp", "A", ("a1",), {"phi": 0.1, "pol": "X"}), "bad polarization 'X'; expected H or V"),
         (Stage("oh", "A", ("a1",), {}, impl="weird"), "bad impl 'weird'; expected canonical or decomposed"),
     ],
     ids=["no-paths", "missing-key", "bad-value", "unknown-key", "arity", "pol", "impl"],
@@ -403,6 +404,106 @@ def test_validator_reports_what_the_parser_rejects_in_a_circuit_built_in_code(st
     reports it as an error at its stage instead of raising or compiling it."""
     report = validate(Circuit(4, ("a1", "a2", "b1", "b2"), (stage,)))
     assert [str(i) for i in report.issues if i.severity == "error"] == [f"error: stage 1: {message}"]
+
+
+@pytest.mark.parametrize(
+    "lmax,paths,message",
+    [
+        (0, ("a1", "b1"), "lmax must be >= 1"),
+        (4, ("a1", "b1", "a1"), "duplicate path label 'a1'"),
+        (4, ("a1", "b1", "_mzi"), "bad path label '_mzi'; expected letters/digits/underscore"),
+        (4, ("a1", "b1", "a:c"), "bad path label 'a:c'; expected letters/digits/underscore"),
+    ],
+    ids=["lmax", "repeated-label", "ancilla-label", "colon-label"],
+)
+def test_validator_reports_what_the_parser_rejects_in_a_declaration(lmax, paths, message):
+    """Built in code, a bad ``lmax`` or path label is one error with no
+    stage, worded as the parser words it, and the circuit is not compiled
+    (a declared ``_mzi`` would be taken for the decomposed oh's ancilla)."""
+    circuit = Circuit(lmax, paths, (Stage("oh", "A", ("a1", "b1"), impl="decomposed"),))
+    report = validate(circuit)
+    assert [str(i) for i in report.issues if i.severity == "error"] == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "stage,message",
+    [
+        (Stage("hwp", "A", ("a1",), {"theta": 0.1}, impl="decomposed"), "unknown key 'impl'"),
+        (Stage("spp", "A", ("a1",), {"l": True}), "bad l value True"),
+        (Stage("spp", "A", ("a1",), {"l": 1.5}), "bad l value 1.5"),
+        (Stage("qp", "A", ("a1",), {"q": 0.3}), "q must be an integer or half-integer, got 0.3"),
+        (Stage("hwp", "A", ("a1",), {"theta": "x"}), "bad theta value 'x'"),
+        (Stage("warp", "A", ("a1",)), "unknown stage kind 'warp'"),
+        (Stage("pp", "A", ("a1",), {"phi": 0.1, "pol": "X"}), "bad polarization 'X'; expected H or V"),
+        (Stage("sppm", "A", ("a1",), impl="weird"), "bad impl 'weird'; expected canonical or decomposed"),
+    ],
+    ids=["impl-on-primitive", "bool-int", "float-int", "q-range", "str-angle", "kind", "pol", "impl"],
+)
+def test_compile_names_the_stage_that_breaks_a_rule_of_its_kind(stage, message):
+    """``compile_circuit`` raises the first of the stage's problems, worded
+    as ``validate`` and the parser word it, before building anything."""
+    circuit = Circuit(4, ("a1", "a2", "b1", "b2"), (stage,))
+    with pytest.raises(ValueError) as info:
+        compile_circuit(circuit)
+    assert str(info.value) == f"stage 1 ({stage.header()}): {message}"
+
+
+_VALUES = {  # per Param.type: values the parser reads back, then values it rejects
+    "angle": ((PiAngle(Fraction(1, 8)), 0.3, -1), ("x", True, Fraction(1, 2))),
+    "fraction": ((Fraction(1, 2), 2, 1.5), (Fraction(1, 3), 0.3, True)),
+    "int": ((-2, 0, 3), (True, 1.5)),
+    "pol": (("H", "V"), ("X", 1)),
+}
+
+
+@st.composite
+def _stages(draw):
+    """A stage built in code, from ``STAGE_KINDS``; one draw in six breaks a
+    field, and one in three a parameter's value."""
+    kind = draw(st.sampled_from(list(STAGE_KINDS)))
+    spec = STAGE_KINDS[kind]
+
+    def odd(one_in: int = 6) -> bool:
+        return draw(st.integers(1, one_in)) == one_in
+
+    count = draw(st.integers(0, 3)) if odd() else spec.arity or draw(st.integers(1, 2))
+    labels = st.sampled_from(["a", "b", "c", "z"] if odd() else ["a", "b", "c"])
+    paths = tuple(draw(st.lists(labels, min_size=count, max_size=count, unique=not odd())))
+    params = {
+        p.key: draw(st.sampled_from(_VALUES[p.type][odd(3)]))
+        for p in spec.params
+        if (p.required and not odd()) or draw(st.booleans())
+    }
+    if odd():
+        params["spin"] = 1
+    photon = "C" if odd() else draw(st.sampled_from(PHOTONS))
+    impl = draw(st.sampled_from(["decomposed", "weird"])) if odd() else "canonical"
+    return Stage(kind, photon, paths, params, impl)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(stage=_stages())
+def test_the_parser_and_stage_problems_agree(stage):
+    """A stage built in code breaks no rule exactly when its printed text
+    parses back, to the same circuit; ``compile_circuit`` then builds it,
+    and otherwise raises the stage's first problem, naming the stage."""
+    circuit = Circuit(4, ("a", "b", "c"), (stage,))
+    problems = list(stage_problems(stage, circuit.paths))
+    try:
+        parsed = parse_circuit(print_circuit(circuit))
+    except (CircuitSyntaxError, CircuitSemanticError):
+        parsed = None
+    assert (parsed is not None) == (not problems), problems
+    if parsed is not None:
+        lined = tuple(dataclasses.replace(s, line=p.line) for s, p in zip(circuit.stages, parsed.stages))
+        assert parsed == dataclasses.replace(circuit, stages=lined)
+    for impl in (None, "decomposed"):
+        try:
+            compile_circuit(circuit, impl)
+        except ValueError as exc:
+            assert problems and str(exc) == f"stage 1 ({stage.header()}): {problems[0][2]}"
+        else:
+            assert not problems
 
 
 _TWO_OVERFLOWS_AT_ONE_STAGE = """

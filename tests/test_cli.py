@@ -245,6 +245,16 @@ def test_missing_file_is_usage_error(capsys):
     assert "cannot read circuit" in err
 
 
+def test_a_file_that_is_not_utf8_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "bad.circ"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, ["describe", "--circuit", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read circuit {str(path)!r}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
 def test_missing_required_input_flag():
     with pytest.raises(SystemExit) as exc:
         main(["run"])

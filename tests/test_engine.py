@@ -128,7 +128,7 @@ def test_compile_rejects_a_stage_on_an_undeclared_photon(kind):
     """Only a circuit built in code can name photon C; compiling it names
     the stage instead of dropping the op (qwp) or a bare KeyError (sppm)."""
     circuit = dataclasses.replace(FIG2, stages=(*FIG2.stages[:2], Stage(kind, "C", ("a1",))))
-    with pytest.raises(ValueError, match=rf"^stage 3 \({kind} photon=C paths=a1\): photon 'C' is not declared$"):
+    with pytest.raises(ValueError, match=rf"^stage 3 \({kind} photon=C paths=a1\): unknown photon 'C'; expected A or B$"):
         compile_circuit(circuit)
 
 

@@ -8,15 +8,13 @@ from bellsim import measurement
 from bellsim.analyzer import analyze, random_input_states
 from bellsim.circuit import builtin_document, parse_circuit
 from bellsim.engine import compile_circuit, propagate
-from bellsim.errors import CalibrationFailure, LeakedAmplitude, MalformedPattern, UnsortableOam
+from bellsim.errors import CalibrationFailure, LeakedAmplitude, UnsortableOam
 from bellsim.measurement import (
     CoincidencePattern,
     DetectorId,
     OutcomeDistribution,
     detectors_for_origins,
     enumerate_patterns,
-    parse_detector,
-    parse_pattern,
     sppm_project,
 )
 from bellsim.state import BasisMode, ModeSpace, TwoPhotonState
@@ -29,37 +27,6 @@ def _pair(sa, pa, oa, sb, pb, ob):
 
 
 # -- identifiers --------------------------------------------------------
-
-
-def test_detector_str_and_parse_round_trip():
-    det = DetectorId(1, "H", "a1")
-    assert str(det) == "D[+1,H,a1]"
-    assert parse_detector("D[+1,H,a1]") == det
-    assert parse_detector(" D[-1,V,b2] ") == DetectorId(-1, "V", "b2")
-
-
-def test_pattern_str_and_parse_round_trip():
-    pattern = CoincidencePattern(DetectorId(1, "H", "a1"), DetectorId(-1, "V", "b2"))
-    text = str(pattern)
-    assert text == "D[+1,H,a1] & D[-1,V,b2]"
-    assert parse_pattern(text) == pattern
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "D[+2,H,a1]",
-        "D[1,H,a1]",  # sign must be explicit
-        "D[+1,X,a1]",
-        "D[+1,H]",
-        "garbage",
-        "D[+1,H,a1] & D[+1,H,a2] & D[+1,H,b2]",
-        "D[+1,H,a1]",  # a lone detector is not a coincidence
-    ],
-)
-def test_malformed_patterns_rejected(bad):
-    with pytest.raises(MalformedPattern):
-        parse_pattern(bad)
 
 
 def test_detector_enumeration_order():
@@ -128,10 +95,10 @@ def test_direct_projection_reads_born_weights():
     st = TwoPhotonState(SPACE, amps)
     dist = sppm_project(st, ("a1", "b1"), ("a2", "b2"))
     assert dist.probability(
-        parse_pattern("D[+1,H,a1] & D[+1,H,a2]")
+        CoincidencePattern(DetectorId(1, "H", "a1"), DetectorId(1, "H", "a2"))
     ) == pytest.approx(0.25)
     assert dist.probability(
-        parse_pattern("D[-1,V,b1] & D[+1,H,b2]")
+        CoincidencePattern(DetectorId(-1, "V", "b1"), DetectorId(1, "H", "b2"))
     ) == pytest.approx(0.75)
 
 
@@ -277,7 +244,7 @@ def test_swapped_port_map_fails_calibration(monkeypatch, fresh_routes):
     monkeypatch.setattr(measurement, "_port_map", _swapped_port_map(measurement._port_map))
     st = TwoPhotonState(SPACE, {_pair(1, "H", "a1", 1, "H", "a2"): 1.0})
     assert sppm_project(st, ("a1", "b1"), ("a2", "b2"), impl="canonical").probability(
-        parse_pattern("D[+1,H,a1] & D[+1,H,a2]")
+        CoincidencePattern(DetectorId(1, "H", "a1"), DetectorId(1, "H", "a2"))
     ) == 1.0
     with pytest.raises(CalibrationFailure, match="deviates from direct readout"):
         sppm_project(st, ("a1", "b1"), ("a2", "b2"), impl="decomposed")
