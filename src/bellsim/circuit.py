@@ -30,6 +30,7 @@ elements; the engine turns them into column functions.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -66,8 +67,6 @@ class PiAngle(NamedTuple):
 
 def angle_value(value) -> float:
     """Numeric value (radians) of an angle parameter."""
-    import math
-
     if isinstance(value, PiAngle):
         return float(value.coeff) * math.pi
     return float(value)
@@ -207,6 +206,16 @@ STAGE_KINDS: dict[str, KindSpec] = {
 #: per ``Param.type`` but "pol", the values the parser reads and those that print as text it reads back
 _VALUE_TYPES = {"angle": (PiAngle, Integral, float), "fraction": (Rational, float), "int": (Integral,)}
 
+#: an angle's magnitude (rad) must stay below this: past 2**52 consecutive
+#: floats are a radian or more apart, and below it 2θ, φ and 2αℓ are finite
+MAX_ANGLE = 2.0**52
+
+
+def _radians(value):
+    """An angle's exact value in radians: a float, an int, or a Fraction for
+    a ``PiAngle``, so that comparing it with ``MAX_ANGLE`` cannot overflow."""
+    return value.coeff * Fraction(math.pi) if isinstance(value, PiAngle) else value
+
 
 def stage_problems(stage: Stage, declared: tuple[str, ...]):
     """Every rule of its kind that a stage breaks, as (error class, key,
@@ -250,6 +259,9 @@ def stage_problems(stage: Stage, declared: tuple[str, ...]):
             yield CircuitSemanticError, key, f"bad {key} value {value!r}"
         elif tag == "fraction" and (2 * value) % 1:
             yield CircuitSemanticError, None, f"{key} must be an integer or half-integer, got {value}"
+        elif tag == "angle" and not abs(_radians(value)) < MAX_ANGLE:
+            message = f"{key} must be finite with magnitude below 2**52 rad, got {_format_value(value)}"
+            yield CircuitSemanticError, key, message
     if stage.impl not in ("canonical", "decomposed"):
         yield CircuitSemanticError, "impl", f"bad impl {stage.impl!r}; expected canonical or decomposed"
     elif stage.impl != "canonical" and not spec.composite:
@@ -474,7 +486,12 @@ def parse_circuit(text: str) -> Circuit:
 
 
 def print_circuit(circuit: Circuit) -> str:
-    """Canonical serialization; parse(print(parse(x))) == parse(x)."""
+    """Canonical serialization; parse(print(parse(x))) == parse(x).
+
+    Raises:
+        ValueError: a stage has a parameter named ``impl``, which would
+            print as the stage's own ``impl=``.
+    """
     out: list[str] = []
     for line in circuit.description:
         out.append(f"# {line}" if line else "#")
@@ -484,6 +501,8 @@ def print_circuit(circuit: Circuit) -> str:
     if circuit.paths:
         out.append("paths " + " ".join(circuit.paths))
     for stage in circuit.stages:
+        if "impl" in stage.params:  # it would print as the stage's own impl=
+            raise ValueError(f"stage {stage.header()}: a parameter named 'impl' cannot be printed")
         parts = [f"stage {stage.kind}", f"photon={stage.photon}", f"paths={','.join(stage.paths)}"]
         order = [p.key for p in STAGE_KINDS[stage.kind].params]
         order += sorted(k for k in stage.params if k not in order)

@@ -9,7 +9,9 @@ Subcommands::
     bellsim export-table dump the 64-row classification table
     bellsim oracle       sparse vs dense evolution cross-check
 
-Exit status: 0 on success, 1 when a simulation runs but fails a check
+Each command returns (passed, JSON payload, text); ``main`` alone writes
+the payload or the text, as ``--format`` asks, and maps the verdict to
+the exit status: 0 on success, 1 when a simulation runs but fails a check
 (or raises a simulation error, which is reported with the stage named),
 2 for usage problems including circuit documents that do not parse.
 All output is deterministic for a given platform and argument list.
@@ -37,87 +39,6 @@ from .errors import BellSimError, CircuitSemanticError, CircuitSyntaxError
 __all__ = ["main", "build_parser"]
 
 _BUILTIN_PREFIX = "builtin:"
-
-
-def _add_common(p: argparse.ArgumentParser, impl: bool = True) -> None:
-    p.add_argument(
-        "--circuit",
-        default=_BUILTIN_PREFIX + "fig2",
-        help="circuit document: builtin:<name> or a file path (default builtin:fig2)",
-    )
-    p.add_argument(
-        "--lmax", type=int, default=None, help="override the circuit's OAM bound"
-    )
-    p.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default text)",
-    )
-    if impl:
-        p.add_argument(
-            "--impl",
-            choices=("canonical", "decomposed"),
-            default=None,
-            help="force gate implementations (default: per-stage setting)",
-        )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bellsim",
-        description="Linear-optical Bell-state analyzer simulator",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="propagate one Bell input")
-    p_run.add_argument(
-        "--input", required=True, choices=analyzer.BELL_LABELS, help="Bell input label"
-    )
-    _add_common(p_run)
-
-    p_verify = sub.add_parser("verify", help="grade all four Bell inputs")
-    _add_common(p_verify)
-    p_verify.add_argument(
-        "--tamper-table",
-        action="store_true",
-        help="relabel one table pattern first (negative-control hook)",
-    )
-
-    p_stages = sub.add_parser("stages", help="checkpoint-by-checkpoint comparison")
-    p_stages.add_argument(
-        "--input", required=True, choices=analyzer.BELL_LABELS, help="Bell input label"
-    )
-    _add_common(p_stages)
-
-    p_desc = sub.add_parser("describe", help="canonical form + validation")
-    _add_common(p_desc, impl=False)
-
-    p_table = sub.add_parser("export-table", help="dump the classification table")
-    p_table.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    p_table.add_argument(
-        "--tamper-table",
-        action="store_true",
-        help="relabel one table pattern first (negative-control hook)",
-    )
-
-    p_oracle = sub.add_parser("oracle", help="sparse vs dense cross-check")
-    _add_common(p_oracle)
-    p_oracle.add_argument(
-        "--seed",
-        type=int,
-        default=analyzer.ORACLE_SEED,
-        help=f"random-state seed (default {analyzer.ORACLE_SEED})",
-    )
-    p_oracle.add_argument(
-        "--n-random",
-        type=int,
-        default=50,
-        help="number of random input-sector states (default 50)",
-    )
-    return parser
 
 
 def _load_circuit(args) -> Circuit:
@@ -153,11 +74,7 @@ class _Usage(Exception):
     pass
 
 
-def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-
-
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> tuple[bool, dict, str]:
     circuit = _load_circuit(args)
     dist = analyzer.analyze(args.input, args.impl, circuit)
     outcomes = []
@@ -167,145 +84,155 @@ def _cmd_run(args) -> int:
         outcomes.append((pattern, p, label))
         if label == args.input:
             success += p
-    if args.format == "json":
-        _emit_json(
-            {
-                "input": args.input,
-                "origins": {"A": list(dist.origins_a), "B": list(dist.origins_b)},
-                "outcomes": [
-                    {"pattern": str(pattern), "probability": p, "label": label}
-                    for pattern, p, label in outcomes
-                ],
-                "success_probability": success,
-            }
-        )
-    else:
-        sys.stdout.write(f"input: {args.input}\n")
-        for pattern, p, label in outcomes:
-            sys.stdout.write(f"{pattern}  {p:.12g}  -> {label}\n")
-        sys.stdout.write(f"success probability: {success:.12f}\n")
-    return 0 if abs(success - 1.0) <= analyzer.UNIFORM_TOL else 1
+    payload = {
+        "input": args.input,
+        "origins": {"A": list(dist.origins_a), "B": list(dist.origins_b)},
+        "outcomes": [
+            {"pattern": str(pattern), "probability": p, "label": label}
+            for pattern, p, label in outcomes
+        ],
+        "success_probability": success,
+    }
+    lines = [f"input: {args.input}\n"]
+    lines += [f"{pattern}  {p:.12g}  -> {label}\n" for pattern, p, label in outcomes]
+    lines.append(f"success probability: {success:.12f}\n")
+    return abs(success - 1.0) <= analyzer.UNIFORM_TOL, payload, "".join(lines)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[bool, dict, str]:
     circuit = _load_circuit(args)
     table = analyzer.tamper_table() if args.tamper_table else None
     report = analyzer.verify(args.impl, circuit, table)
-    if args.format == "json":
-        _emit_json(report.to_json_dict())
-    else:
-        sys.stdout.write(report.to_text())
-    return 0 if report.ok else 1
+    return report.ok, report.to_json_dict(), report.to_text()
 
 
-def _cmd_stages(args) -> int:
+def _cmd_stages(args) -> tuple[bool, dict, str]:
     circuit = _load_circuit(args)
     records = analyzer.stage_states(args.input, args.impl, circuit)
     # a circuit with no checkpointed stage kind has nothing to compare: not a pass
     ok = bool(records) and all(r.fidelity >= 1.0 - analyzer.UNIFORM_TOL for r in records)
-    if args.format == "json":
-        _emit_json(
+    payload = {
+        "input": args.input,
+        "checkpoints": [
             {
-                "input": args.input,
-                "checkpoints": [
-                    {
-                        "name": r.checkpoint,
-                        "fidelity": r.fidelity,
-                        "global_phase": None
-                        if cmath.isnan(r.global_phase)
-                        else {"re": r.global_phase.real, "im": r.global_phase.imag},
-                    }
-                    for r in records
-                ],
-                "ok": ok,
+                "name": r.checkpoint,
+                "fidelity": r.fidelity,
+                "global_phase": None
+                if cmath.isnan(r.global_phase)
+                else {"re": r.global_phase.real, "im": r.global_phase.imag},
             }
+            for r in records
+        ],
+        "ok": ok,
+    }
+    lines = [f"input: {args.input}\n"]
+    for r in records:
+        phase = "n/a" if cmath.isnan(r.global_phase) else f"{r.global_phase:+.6f}"
+        lines.append(
+            f"checkpoint {r.checkpoint:<8}  fidelity {r.fidelity:.12f}  phase {phase}\n"
         )
-    else:
-        sys.stdout.write(f"input: {args.input}\n")
-        for r in records:
-            phase = "n/a" if cmath.isnan(r.global_phase) else f"{r.global_phase:+.6f}"
-            sys.stdout.write(
-                f"checkpoint {r.checkpoint:<8}  fidelity {r.fidelity:.12f}  "
-                f"phase {phase}\n"
-            )
-        sys.stdout.write(
-            f"all checkpoints within {analyzer.UNIFORM_TOL:g}: {'yes' if ok else 'NO'}\n"
-        )
-    return 0 if ok else 1
+    lines.append(f"all checkpoints within {analyzer.UNIFORM_TOL:g}: {'yes' if ok else 'NO'}\n")
+    return ok, payload, "".join(lines)
 
 
-def _cmd_describe(args) -> int:
+def _cmd_describe(args) -> tuple[bool, dict, str]:
     circuit = _load_circuit(args)
-    text = print_circuit(circuit)
+    canonical = print_circuit(circuit)
     report = validate(circuit)
-    if args.format == "json":
-        _emit_json(
+    payload = {
+        "canonical": canonical,
+        "issues": [
             {
-                "canonical": text,
-                "issues": [
-                    {
-                        "severity": i.severity,
-                        "stage": None if i.stage_index is None else i.stage_index + 1,
-                        "message": i.message,
-                    }
-                    for i in report.issues
-                ],
-                "ok": report.ok,
+                "severity": i.severity,
+                "stage": None if i.stage_index is None else i.stage_index + 1,
+                "message": i.message,
             }
-        )
-    else:
-        sys.stdout.write(text)
-        sys.stdout.write("-- validation --\n")
-        sys.stdout.write(str(report) + "\n")
-    return 0 if report.ok else 1
+            for i in report.issues
+        ],
+        "ok": report.ok,
+    }
+    return report.ok, payload, f"{canonical}-- validation --\n{report}\n"
 
 
-def _cmd_export_table(args) -> int:
+def _cmd_export_table(args) -> tuple[bool, dict, str]:
     table = analyzer.tamper_table() if args.tamper_table else None
     rows = analyzer.classification_rows(table)
-    if args.format == "json":
-        _emit_json({"patterns": {str(p): label for p, label in rows}})
-    else:
-        for pattern, label in rows:
-            sys.stdout.write(f"{pattern}  {label}\n")
-    return 0
+    payload = {"patterns": {str(p): label for p, label in rows}}
+    return True, payload, "".join(f"{pattern}  {label}\n" for pattern, label in rows)
 
 
-def _cmd_oracle(args) -> int:
-    if args.n_random < 0:
-        raise _Usage("--n-random must be >= 0")
-    if args.seed < 0:
-        raise _Usage("--seed must be >= 0")
-    circuit = _load_circuit(args)
-    report = analyzer.oracle_check(args.impl, circuit, args.n_random, args.seed)
-    if args.format == "json":
-        _emit_json(report.to_json_dict())
-    else:
-        sys.stdout.write(report.to_text())
-    return 0 if report.ok else 1
+def _cmd_oracle(args) -> tuple[bool, dict, str]:
+    report = analyzer.oracle_check(args.impl, _load_circuit(args))
+    return report.ok, report.to_json_dict(), report.to_text()
 
 
+#: every flag, declared once as argparse's keyword arguments; ``--circuit``
+#: comes with ``--lmax``, which overrides the circuit's OAM bound
+_FLAGS = {
+    "input": {
+        "--input": dict(required=True, choices=analyzer.BELL_LABELS, help="Bell input label"),
+    },
+    "circuit": {
+        "--circuit": dict(
+            default=_BUILTIN_PREFIX + "fig2",
+            help="circuit document: builtin:<name> or a file path (default builtin:fig2)",
+        ),
+        "--lmax": dict(type=int, default=None, help="override the circuit's OAM bound"),
+    },
+    "format": {
+        "--format": dict(choices=("text", "json"), default="text", help="output format (default text)"),
+    },
+    "impl": {
+        "--impl": dict(
+            choices=("canonical", "decomposed"),
+            default=None,
+            help="force gate implementations (default: per-stage setting)",
+        ),
+    },
+    "tamper-table": {
+        "--tamper-table": dict(
+            action="store_true", help="relabel one table pattern first (negative-control hook)"
+        ),
+    },
+}
+
+#: each subcommand: its handler, its help, and its flags in help order
 _COMMANDS = {
-    "run": _cmd_run,
-    "verify": _cmd_verify,
-    "stages": _cmd_stages,
-    "describe": _cmd_describe,
-    "export-table": _cmd_export_table,
-    "oracle": _cmd_oracle,
+    "run": (_cmd_run, "propagate one Bell input", ("input", "circuit", "format", "impl")),
+    "verify": (_cmd_verify, "grade all four Bell inputs", ("circuit", "format", "impl", "tamper-table")),
+    "stages": (_cmd_stages, "checkpoint-by-checkpoint comparison", ("input", "circuit", "format", "impl")),
+    "describe": (_cmd_describe, "canonical form + validation", ("circuit", "format")),
+    "export-table": (_cmd_export_table, "dump the classification table", ("format", "tamper-table")),
+    "oracle": (_cmd_oracle, "sparse vs dense cross-check", ("circuit", "format", "impl")),
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="bellsim",
+        description="Linear-optical Bell-state analyzer simulator",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            for option, kwargs in _FLAGS[flag].items():
+                command.add_argument(option, **kwargs)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        passed, payload, text = _COMMANDS[args.command][0](args)
     except _Usage as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except BellSimError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n" if args.format == "json" else text)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":  # pragma: no cover
