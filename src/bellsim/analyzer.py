@@ -170,15 +170,13 @@ def classify(
         ) from None
 
 
-def tamper_table(
-    table: dict[CoincidencePattern, str] | None = None,
-) -> dict[CoincidencePattern, str]:
-    """Copy of the table with exactly one pattern relabeled (test hook).
+def tamper_table() -> dict[CoincidencePattern, str]:
+    """Copy of the classification table with exactly one pattern relabeled (test hook).
 
     The first pattern in canonical order moves to the next label
     cyclically, so verification must report a single misclassification.
     """
-    table = dict(CLASSIFICATION_TABLE if table is None else table)
+    table = dict(CLASSIFICATION_TABLE)
     first = _PATTERNS[0]
     old = table[first]
     table[first] = BELL_LABELS[(BELL_LABELS.index(old) + 1) % len(BELL_LABELS)]

@@ -489,11 +489,13 @@ def print_circuit(circuit: Circuit) -> str:
     """Canonical serialization; parse(print(parse(x))) == parse(x).
 
     Raises:
-        ValueError: a stage has a parameter named ``impl``, which would
-            print as the stage's own ``impl=``.
+        ValueError: a parameter named ``impl`` (it would print as the
+            stage's own ``impl=``), or a description line with a line break.
     """
     out: list[str] = []
     for line in circuit.description:
+        if "".join(line.splitlines()) != line:  # it would print as several lines
+            raise ValueError(f"description line {line!r} holds a line break")
         out.append(f"# {line}" if line else "#")
     out.append(f"lmax {circuit.lmax}")
     for photon in PHOTONS:

@@ -46,8 +46,9 @@ import numpy as np
 
 from . import blocks
 from .circuit import ANCILLA_PATH, PHOTONS, STAGE_KINDS, Circuit, label_problems, stage_problems
-from .elements import SIGN_DOMAIN, ColumnFn, Element, element_column
+from .elements import ColumnFn, Element, element_column
 from .errors import BellSimError, DimensionCap, LeakedAmplitude, UnsortableOam
+from .measurement import readout_error
 from .state import DROP_EPS, POLARIZATIONS, BasisMode, ModeSpace, TwoPhotonState, _clean
 
 __all__ = [
@@ -65,7 +66,9 @@ __all__ = [
 #: per-photon dense dimension guard (the joint space is this squared)
 MAX_PHOTON_DIMENSION = 10_000
 
-#: each photon's measured paths in the analyzer, and a circuit's origins if no sppm stage names any
+#: each photon's measured paths in the analyzer, and a circuit's origins if no sppm stage names any;
+#: ``validate`` reports light off the origins only for pushes entering here, the inputs the commands
+#: prepare (no command sends photon A in on a2, whose light leaves fig2 off A's origins)
 DEFAULT_ORIGINS = {"A": ("a1", "b1"), "B": ("a2", "b2")}
 
 _IMPLS = (None, "canonical", "decomposed")
@@ -208,46 +211,49 @@ class ValidationReport:
 
 
 def _pushed_issues(circuit: Circuit, override: str | None) -> list[ValidationIssue]:
-    """One variant's issues, read off ``_push`` of every l=0 basis mode."""
+    """One variant's issues, read off ``_push`` of every l=0 basis mode: up to
+    its first op that parked light, or for a push that ran to the end, at the readout."""
     try:
         plan = compile_circuit(circuit, override)
     except BellSimError as exc:  # raised as "stage N (label): <build message>"
         return [ValidationIssue("error", int(str(exc).split()[1]) - 1, str(exc.__cause__))]
-    # (index, photon, position) per sppm stage: it receives the image after
-    # the compiled stages placed before it
-    marks = [
-        (idx, s.photon, sum(cs.index < idx for cs in plan.stages))
-        for idx, s in enumerate(circuit.stages)
-        if STAGE_KINDS[s.kind].build is None
-    ]
+    declared: dict[tuple[str, str], int] = {}  # the sppm stage declaring each (photon, origin), if any
+    for idx, s in enumerate(circuit.stages):
+        if STAGE_KINDS[s.kind].build is None:
+            declared.setdefault((s.photon, s.paths[0]), idx)
     issues: list[ValidationIssue] = []
-    bad: dict[int, set[int]] = {}  # stage index -> OAMs outside l=+1/-1 it receives
+    bad: dict[int | None, set[int]] = {}  # stage index (None: the readout) -> OAMs outside l=+1/-1 it receives
     for photon, path, pol in product(PHOTONS, circuit.paths, POLARIZATIONS):
         col = _push(plan, photon, BasisMode(pol, 0, path))
         transfer = plan._transfers[photon]
         images, parked = transfer.columns[col], transfer.parked[col]
         stop = next(iter(parked), None)  # keys are in plan order; read only up to the first
-        images = images[: stop[0] + 1] if stop else images
-        received = [(idx, images[at]) for idx, p, at in marks if p == photon and at < len(images)]
         if stop:
+            images = images[: stop[0] + 1]
             index, exc = plan.stages[stop[0]].index, transfer.errors[stop]
             if isinstance(exc, UnsortableOam):
-                received.append((index, [m for s, _, m in parked if s == stop[0]]))
+                rejected = [k for k in parked if k[0] == stop[0] and isinstance(transfer.errors[k], UnsortableOam)]
+                bad.setdefault(index, set()).update(m.oam for _, _, m in rejected)
             else:
                 issues.append(ValidationIssue("error", index, str(exc)))
-        for idx, amplitudes in received:
-            paths = circuit.stages[idx].paths
-            oams = {m.oam for m in amplitudes if m.path in paths and m.oam not in SIGN_DOMAIN}
-            if oams:
-                bad.setdefault(idx, set()).update(oams)
+        else:  # the push ran to the end: the readout reads its final image
+            origins = plan.origins[photon]
+            for mode, amp in images[-1].items():
+                exc = readout_error(photon, mode, amp, origins)
+                if isinstance(exc, UnsortableOam):
+                    bad.setdefault(declared.get((photon, mode.path)), set()).add(mode.oam)
+                elif exc is not None and path in DEFAULT_ORIGINS[photon]:
+                    message = f"the readout may receive photon {photon} light on path {mode.path!r}, outside"
+                    issues.append(ValidationIssue("warning", None, f"{message} its measured origins {origins}"))
         for cs, image in zip(plan.stages, images[1:]):
             if cs.photon == photon and any(m.path == plan.ancilla for m in image):
                 message = f"{cs.kind} may leave light on ancilla path {plan.ancilla}"
                 issues.append(ValidationIssue("error", cs.index, message))
                 break
     for idx, oams in bad.items():
-        message = f"{circuit.stages[idx].kind} may receive OAM outside +1/-1 ({sorted(oams)}) "
-        issues.append(ValidationIssue("warning", idx, message + "for the reference inputs"))
+        kind = "the readout" if idx is None else circuit.stages[idx].kind
+        message = f"{kind} may receive OAM outside +1/-1 ({sorted(oams)}) for the reference inputs"
+        issues.append(ValidationIssue("warning", idx, message))
     return issues
 
 
@@ -255,17 +261,19 @@ def validate(circuit: Circuit) -> ValidationReport:
     """Static checks: the declarations and each stage against the parser's rules, then every plan the CLI can run.
 
     The circuit must pass the rules the parser applies to text: ``lmax``
-    and each path label as the parser words them, with no stage, then
-    every ``circuit.stage_problems`` of each stage at that stage.  A circuit
-    built in code that breaks one is reported and not compiled.  The plans
-    are the circuit as written and each impl override that yields a
-    different one.  Each is compiled, and each l=0 basis mode
-    (both polarizations, every declared path, both photons: the
-    analyzer's input class) is pushed through it by ``_push``, the same
-    push ``propagate`` reads, up to the first op that parked light.  A
-    compile failure or that op's error, unless ``UnsortableOam``, is an error;
-    ``UnsortableOam``, and OAM outside l=+1/-1 reaching an ``sppm`` path,
-    is a warning; light on the ancilla path after a stage is an error.
+    and each path label, with no stage, then each stage's
+    ``circuit.stage_problems`` at that stage; a circuit built in code that
+    breaks one is reported and not compiled.  Each plan the CLI can run (as
+    written, and each impl override that differs) is compiled, and each l=0
+    basis mode (both polarizations, every declared path, both photons) is
+    pushed through it by ``_push``, the push ``propagate`` reads, up to the
+    first op that parked light.  That op's error or a compile failure is an
+    error (``UnsortableOam`` a warning), as is ancilla light after a stage.
+    A push that ran to the end is read by ``readout_error``, as the readout
+    reads it: OAM outside l=+1/-1 on an origin warns at the ``sppm`` stage
+    that declares it (``the readout`` for fallback origins), and light off
+    the origins warns with no stage if the push entered on its photon's
+    ``DEFAULT_ORIGINS``, the inputs the analyzer prepares.
     Identical issues are merged; one seen under only some impls names
     them.  Never raises; problems are returned as issues.
     """
@@ -296,7 +304,7 @@ def validate(circuit: Circuit) -> ValidationReport:
             for idx, stage in enumerate(circuit.stages)
             if STAGE_KINDS[stage.kind].sign_domain and STAGE_KINDS[stage.kind].build is not None
         ]
-        issues.sort(key=lambda i: (i.stage_index, _SEVERITIES.index(i.severity)))
+        issues.sort(key=lambda i: (i.stage_index is None, i.stage_index or 0, _SEVERITIES.index(i.severity)))
 
     used = {p for s in circuit.stages for p in s.paths}
     issues += [

@@ -9,21 +9,21 @@ origin).  Joint two-photon outcomes are coincidence patterns such as::
 
 ``sppm_project`` reads every state by the Born rule, one pass over its
 mode amplitudes through a (mode_A, mode_B) -> pattern table cached per
-pair of origin sets; only a pair missing from the table is checked, and
-named in the error.  The ``decomposed`` impl first checks, once per origin,
-that the explicit sorter elements send each (pol, l=+1/-1) mode to its
-own detector alone with a unit coefficient; the direct readout then
-equals the routed one on every state.
+pair of origin sets; only a pair missing from the table is checked, by
+the readout's one rule, ``readout_error``, which ``validate`` reads too.
+The ``decomposed`` impl first checks, once per origin, that the explicit
+sorter elements send each (pol, l=+1/-1) mode to its own detector alone
+with a unit coefficient; the direct readout then equals the routed one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, NamedTuple, NoReturn
+from typing import Iterable, NamedTuple
 
 from .elements import SIGN_DOMAIN, Element, apply_elements, oam_sorter, pbs
-from .errors import CalibrationFailure, LeakedAmplitude, UnsortableOam
+from .errors import BellSimError, CalibrationFailure, LeakedAmplitude, UnsortableOam
 from .state import POL_H, POL_V, POLARIZATIONS, BasisMode, ModeSpace, PhotonState, TwoPhotonState
 
 __all__ = [
@@ -220,25 +220,26 @@ def sppm_project(
     amps = state.amplitudes
     try:
         patterns = list(map(table.__getitem__, amps))
-    except KeyError:  # raises for the first pair no pattern reads
-        next(_unlisted(pair, amp, origins_a, origins_b) for pair, amp in amps.items() if pair not in table)
+    except KeyError:  # the first pair no pattern reads: photon A's readout error, else photon B's
+        pair, amp = next((pair, amp) for pair, amp in amps.items() if pair not in table)
+        raise readout_error("A", pair[0], amp, origins_a) or readout_error("B", pair[1], amp, origins_b)
     # abs(a) ** 2: a vectorised square differs from it in the last bit on some amplitudes
     probs = dict(zip(patterns, [abs(a) ** 2 for a in amps.values()]))
     return OutcomeDistribution(origins_a, origins_b, probs)
 
 
-def _unlisted(pair: tuple, amp: complex, origins_a: tuple, origins_b: tuple) -> NoReturn:
-    """A mode pair that no pattern of the origins reads: always raises, the
-    error of its first photon outside the measured origins or the l=+1/-1
-    domain (a pair inside both is in the pattern table)."""
-    for mode, origins, photon in zip(pair, (origins_a, origins_b), ("A", "B")):
-        if mode.path not in origins:
-            raise LeakedAmplitude(
-                f"photon {photon} amplitude {amp:.3e} on path {mode.path!r}, "
-                f"outside the measured origins {origins}"
-            )
-        if mode.oam not in SIGN_DOMAIN:
-            raise UnsortableOam(
-                f"photon {photon} amplitude on l={mode.oam:+d} at {mode.path!r}; "
-                "the sorter blocks only resolve l=+1/-1"
-            )
+def readout_error(photon: str, mode: BasisMode, amp: complex, origins: tuple) -> BellSimError | None:
+    """The readout's one rule for a photon's light on a mode: it is read only
+    on the photon's measured origins and only at l=+1/-1.  Returns the error
+    ``sppm_project`` raises for the mode, or ``None`` if a detector reads it."""
+    if mode.path not in origins:
+        return LeakedAmplitude(
+            f"photon {photon} amplitude {amp:.3e} on path {mode.path!r}, "
+            f"outside the measured origins {origins}"
+        )
+    if mode.oam not in SIGN_DOMAIN:
+        return UnsortableOam(
+            f"photon {photon} amplitude on l={mode.oam:+d} at {mode.path!r}; "
+            "the sorter blocks only resolve l=+1/-1"
+        )
+    return None

@@ -131,8 +131,8 @@ class ModeSpace:
         return ModeSpace(self.lmax, self.paths + new)
 
 
-def _clean(amps: dict, drop: float = DROP_EPS) -> dict:
-    return {m: a for m, a in amps.items() if abs(a) > drop}
+def _clean(amps: dict) -> dict:
+    return {m: a for m, a in amps.items() if abs(a) > DROP_EPS}
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -31,14 +32,16 @@ from bellsim.circuit import (
     print_circuit,
     stage_problems,
 )
-from bellsim.engine import compile_circuit, propagate, validate
+from bellsim.engine import DEFAULT_ORIGINS, compile_circuit, propagate, validate
 from bellsim.errors import (
     BellSimError,
     CircuitSemanticError,
     CircuitSyntaxError,
+    LeakedAmplitude,
     OamOverflow,
     UnsortableOam,
 )
+from bellsim.measurement import sppm_project
 from bellsim.state import BasisMode, TwoPhotonState
 
 DATA = Path(__file__).parent / "data"
@@ -49,6 +52,14 @@ def test_builtin_round_trips_byte_for_byte():
     circuit = parse_circuit(text)
     assert print_circuit(circuit) == text
     assert parse_circuit(print_circuit(circuit)) == circuit
+
+
+@pytest.mark.parametrize("line", ["x\n#y", "first\nlmax 9", "x\n", "a\x0cb", "a\u2028b"])
+def test_printer_refuses_a_description_line_with_a_line_break(line):
+    """Printed, the line would come back as several: as another description
+    line, silently, or as a directive."""
+    with pytest.raises(ValueError, match="holds a line break"):
+        print_circuit(Circuit(4, ("a",), (), description=(line,)))
 
 
 def test_custom_fixture_round_trips():
@@ -277,12 +288,58 @@ def test_validate_qp_split_both_branches():
 
 FIG2 = parse_circuit(builtin_document("fig2"))
 
+_FIG2_LINES = builtin_document("fig2").splitlines(keepends=True)
+_FIG2_SPPM = [line for line in _FIG2_LINES if line.startswith("stage sppm")]
+_FIG2_REST = [line for line in _FIG2_LINES if not line.startswith("stage sppm")]
+
+
+def _sppm_moved_before(kind):
+    """fig2's text with its four sppm stages moved before the first stage of ``kind``."""
+    at = next(i for i, line in enumerate(_FIG2_REST) if line.startswith(f"stage {kind} "))
+    return "".join(_FIG2_REST[:at] + _FIG2_SPPM + _FIG2_REST[at:])
+
+
+# fig2 variants whose readout differs, and a circuit with no sppm stage:
+# where verify raises, validate warns; an sppm stage declares its origin
+# wherever it sits, so moving the four to the top changes nothing
+READOUT_CASES = {
+    "fig2-b1-unmeasured": (
+        (DATA / "unmeasured_origin.circ").read_text(),
+        ["warning: the readout may receive photon A light on path 'b1', outside its measured origins ('a1',)"],
+        LeakedAmplitude,
+    ),
+    "fig2-B-unmeasured": (
+        "".join(line for line in _FIG2_LINES if not line.startswith("stage sppm photon=B")),
+        [
+            "warning: the readout may receive photon B light on path 'a2', outside its measured origins ()",
+            "warning: the readout may receive photon B light on path 'b2', outside its measured origins ()",
+        ],
+        LeakedAmplitude,
+    ),
+    "fig2-sppm-before-hwp-then-spp": (
+        _sppm_moved_before("hwp") + "stage spp photon=A paths=a1,b1 l=1\n",
+        [
+            "warning: stage 8: sppm may receive OAM outside +1/-1 ([0, 2]) for the reference inputs",
+            "warning: stage 9: sppm may receive OAM outside +1/-1 ([0, 2]) for the reference inputs",
+        ],
+        UnsortableOam,
+    ),
+    "fig2-sppm-at-top": (_sppm_moved_before("p_cos"), [], None),
+    "no-sppm": (
+        "paths a1 a2 b1 b2\nstage hwp photon=A paths=a1,b1 theta=pi/8\n",
+        ["warning: the readout may receive OAM outside +1/-1 ([0]) for the reference inputs"],
+        UnsortableOam,
+    ),
+}
+
 SOUNDNESS_CIRCUITS = [
     pytest.param(dataclasses.replace(FIG2, lmax=lmax), id=f"fig2-lmax{lmax}")
     for lmax in (1, 2, 3, 4)
 ] + [
     pytest.param(parse_circuit((DATA / name).read_text()), id=name)
     for name in ("custom_mini.circ", "overflow.circ", "empty.circ")
+] + [
+    pytest.param(parse_circuit(text), id=name) for name, (text, _, _) in READOUT_CASES.items()
 ]
 
 
@@ -293,11 +350,13 @@ def _stage_of(exc):
 
 
 def _runtime_errors(circuit, impl):
-    """What compiling, verify(), and propagating each l=0 basis mode raise."""
+    """What compiling, verify(), and propagating each l=0 basis mode raise,
+    and what reading out each reference pair raises: photon A on one of its
+    ``DEFAULT_ORIGINS`` paths, photon B on one of its, l=0, any polarizations."""
     try:
         plan = compile_circuit(circuit, impl)
     except BellSimError as exc:
-        return [exc]
+        return [exc], []
     errors = []
     try:
         verify(impl, circuit)
@@ -310,13 +369,28 @@ def _runtime_errors(circuit, impl):
                 propagate(plan, TwoPhotonState(circuit.space(), {(mode, mode): 1.0}))
             except BellSimError as exc:
                 errors.append(exc)
-    return errors
+    reference = [
+        [BasisMode(pol, 0, path) for path in DEFAULT_ORIGINS[photon] if path in circuit.paths for pol in ("H", "V")]
+        for photon in PHOTONS
+    ]
+    readout = []
+    for ma, mb in product(*reference):
+        try:
+            out = propagate(plan, TwoPhotonState(circuit.space(), {(ma, mb): 1.0}))
+            sppm_project(out, plan.origins["A"], plan.origins["B"])
+        except BellSimError as exc:
+            readout.append(exc)
+    return errors, readout
 
 
 @pytest.mark.parametrize("impl", [None, "canonical", "decomposed"])
 @pytest.mark.parametrize("circuit", SOUNDNESS_CIRCUITS)
 def test_validator_is_sound_against_runtime(circuit, impl):
-    """Whatever the engine raises at stage k, validate flagged at stage k."""
+    """Whatever the engine or the readout raises at stage k, validate
+    flagged at stage k; the readout's errors name no stage, and a warning
+    at an sppm stage or with no stage flags them.  On these circuits a
+    readout warning seen under every impl is also no false alarm: some
+    reference pair raises at the readout."""
     report = validate(circuit)
     flagged = {
         sev: {i.stage_index for i in report.issues if i.severity == sev}
@@ -328,13 +402,39 @@ def test_validator_is_sound_against_runtime(circuit, impl):
         compile_circuit(circuit, impl)
     except BellSimError:
         compile_failed = True
-    for exc in _runtime_errors(circuit, impl):
+    errors, readout = _runtime_errors(circuit, impl)
+    for exc in errors + readout:
         stage = _stage_of(exc)
         if compile_failed or isinstance(exc, OamOverflow):
             assert stage in flagged["error"], exc
         elif isinstance(exc, UnsortableOam):
             allowed = flagged["error"] | flagged["warning"]
-            assert ({stage} if stage is not None else measured) & allowed, exc
+            assert ({stage} if stage is not None else measured | {None}) & allowed, exc
+        elif isinstance(exc, LeakedAmplitude) and "ancilla" in str(exc):
+            assert flagged["error"], exc
+        elif isinstance(exc, LeakedAmplitude):  # off the origins, at the readout
+            assert None in flagged["warning"], exc
+    readout_warned = [
+        i for i in report.issues
+        if i.severity == "warning" and (i.stage_index is None or i.stage_index in measured)
+        and not i.message.endswith(" only)")
+    ]
+    assert not readout_warned or readout, readout_warned
+
+
+@pytest.mark.parametrize("name", list(READOUT_CASES))
+def test_validate_reads_the_readout_where_it_runs(name):
+    """The readout reads the final state through one rule, whatever the
+    sppm stages' places: validate warns exactly where verify raises."""
+    text, warnings, raised = READOUT_CASES[name]
+    circuit = parse_circuit(text)
+    assert [str(i) for i in validate(circuit).issues if i.severity != "note"] == warnings
+    for impl in (None, "canonical", "decomposed"):
+        if raised is None:
+            assert verify(impl, circuit).ok
+        else:
+            with pytest.raises(raised):
+                verify(impl, circuit)
 
 
 @pytest.mark.parametrize("lmax", [2, 3, 4])
@@ -616,6 +716,76 @@ def test_a_clean_report_means_the_l0_class_propagates(circuit):
         for ma in modes:
             for mb in modes:
                 propagate(plan, TwoPhotonState(circuit.space(), {(ma, mb): 1.0}))
+
+
+# -- grammar fuzz --------------------------------------------------------
+
+_FUZZ_CHARS = list("aAbBlpq019_=,/-.+e #") + ["pi", "\n", "\t", "\r", "\x0c", "\u2028", "\x00", "\u00e9", "\u0663"]
+_FUZZ_TOKENS = [
+    "lmax", "photon", "paths", "stage", "A", "B", "C", "a1", "b2", "w", "hwp", "sppm", "oh", "p_cos", "qp",
+    "photon=A", "photon=B", "paths=a1,b1", "paths=a1", "paths=", "theta=pi/8", "theta=1e308", "phi=-pi",
+    "q=1/2", "q=1/0", "l=1", "l=99", "pol=V", "impl=decomposed", "impl=", "=", ",", "#", "0", "-3", "nan",
+]
+_FUZZ_LINES = [
+    "\n", "# a comment\n", "lmax 2\n", "lmax 0\n", "photon A\n", "photon B\n", "paths a1 a2\n",
+    "stage sppm photon=B paths=a1\n", "stage spp photon=A paths=a1,b1 l=1\n", "stage oh photon=B paths=a2,b2\n",
+]
+
+
+def _edit(draw, parts, spots, vocabulary, joiner):
+    """``parts`` with one drawn edit at a drawn spot: delete, duplicate, swap
+    with another spot, or replace from the vocabulary."""
+    i, j = draw(st.sampled_from(spots)), draw(st.sampled_from(spots))
+    action = draw(st.sampled_from(["delete", "duplicate", "swap", "replace"]))
+    if action == "delete":
+        parts[i] = ""
+    elif action == "duplicate":
+        parts[i] = parts[i] + joiner + parts[i]
+    elif action == "swap":
+        parts[i], parts[j] = parts[j], parts[i]
+    else:
+        parts[i] = draw(st.sampled_from(vocabulary))
+    return "".join(parts)
+
+
+@st.composite
+def _mutants(draw):
+    """fig2's text or a printed drawn circuit, mutated one to three times at
+    character, token or line level.  A token edit works on one line's
+    tokens after its head; the other two levels break heads often enough."""
+    text = draw(st.one_of(st.just(builtin_document("fig2")), _circuits().map(print_circuit)))
+    for _ in range(draw(st.integers(1, 3))):
+        level = draw(st.sampled_from(["char", "token", "line"]))
+        lines = text.splitlines(keepends=True)
+        if level == "char":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(["", *_FUZZ_CHARS])) + text[at + draw(st.integers(0, 2)):]
+        elif level == "line" and lines:
+            text = _edit(draw, lines, list(range(len(lines))), _FUZZ_LINES, "")
+        elif level == "token" and lines:
+            n = draw(st.integers(0, len(lines) - 1))
+            parts = re.split(r"(\s+)", lines[n])
+            spots = [i for i, part in enumerate(parts) if part.strip()][1:]
+            if spots:
+                lines[n] = _edit(draw, parts, spots, _FUZZ_TOKENS, " ")
+                text = "".join(lines)
+    return text
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(text=_mutants())
+def test_a_mutated_document_parses_to_a_fixed_point_or_fails_at_a_line(text):
+    """Every mutant either parses, prints to a fixed point of parse-then-print
+    and validates without raising, or is refused with a line position."""
+    try:
+        circuit = parse_circuit(text)
+    except (CircuitSyntaxError, CircuitSemanticError) as exc:
+        assert 1 <= exc.line <= max(1, len(text.splitlines())), exc
+        assert str(exc).startswith(f"line {exc.line}, column "), exc
+        return
+    printed = print_circuit(circuit)
+    assert print_circuit(parse_circuit(printed)) == printed
+    validate(circuit)
 
 
 # -- the stage-kind table -----------------------------------------------

@@ -122,6 +122,20 @@ def test_stages_decomposed(capsys):
     assert "all checkpoints within 1e-10: yes" in out
 
 
+def test_describe_warns_where_verify_leaks_off_an_unmeasured_origin(capsys):
+    """fig2 without photon A's sppm on b1: describe passes with one warning
+    naming b1, and verify fails on the light the readout cannot read."""
+    circuit = str(DATA / "unmeasured_origin.circ")
+    code, out, _ = run_cli(capsys, ["describe", "--circuit", circuit])
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("warning:")] == [
+        "warning: the readout may receive photon A light on path 'b1', outside its measured origins ('a1',)"
+    ]
+    code, out, err = run_cli(capsys, ["verify", "--circuit", circuit])
+    assert code == 1 and out == ""
+    assert err.startswith("error: LeakedAmplitude: ") and err.count("\n") == 1
+
+
 def test_describe_custom_circuit(capsys):
     path = DATA / "custom_mini.circ"
     code, out, _ = run_cli(capsys, ["describe", "--circuit", str(path)])
