@@ -493,11 +493,11 @@ def verify(
     circuit = default_circuit() if circuit is None else circuit
     plan = compile_circuit(circuit, impl)
     rows = []
-    supports: dict[str, set[CoincidencePattern]] = {}
+    supports: list[set[CoincidencePattern]] = []
     for label in BELL_LABELS:
         dist = _distribution(plan, prepare_input(label, circuit.space()))
         support = dist.support()
-        supports[label] = set(support)
+        supports.append(set(support))
         success = 0.0
         missed = []
         deviation = 0.0
@@ -511,9 +511,8 @@ def verify(
         rows.append(
             LabelReport(label, success, len(support), deviation, tuple(missed))
         )
-    all_supports = [s for s in supports.values()]
-    union = set().union(*all_supports)
-    disjoint = len(union) == sum(len(s) for s in all_supports)
+    union = set().union(*supports)
+    disjoint = len(union) == sum(len(s) for s in supports)
     cover = union == set(table)
     return VerificationReport(tuple(rows), disjoint, cover)
 

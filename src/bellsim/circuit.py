@@ -272,7 +272,7 @@ def stage_problems(stage: Stage, declared: tuple[str, ...]):
 
 _TOKEN_RE = re.compile(r"\S+")
 _PATH_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
-_PI_RE = re.compile(r"^([+-]?)(\d+)?pi(?:/(\d+))?$")
+_PI_RE = re.compile(r"^([+-]?)([0-9]+)?pi(?:/([0-9]+))?$")
 
 
 def label_problems(labels: tuple[str, ...]):
@@ -293,39 +293,32 @@ def _tokens(line: str) -> list[tuple[str, int]]:
     return [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
 
 
+#: each number type's reader and parse error
+_NUMBERS = {
+    "angle": (float, "bad angle {!r}; expected a number or a pi fraction like pi/8"),
+    "fraction": (Fraction, "bad fraction {!r}; expected forms like 1/2 or 2"),
+    "int": (int, "bad integer {!r}"),
+}
+
+
 def _parse_value(tag: str, text: str, lineno: int, col: int):
-    if tag == "angle":
-        m = _PI_RE.match(text)
-        if m:
-            sign = -1 if m.group(1) == "-" else 1
-            num = int(m.group(2)) if m.group(2) else 1
-            den = int(m.group(3)) if m.group(3) else 1
-            if den == 0:
-                raise CircuitSemanticError("zero denominator in angle", lineno, col)
-            return PiAngle(Fraction(sign * num, den))
-        try:
-            return float(text)
-        except ValueError:
-            raise CircuitSyntaxError(
-                f"bad angle {text!r}; expected a number or a pi fraction like pi/8",
-                lineno,
-                col,
-            ) from None
-    if tag == "fraction":
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            raise CircuitSyntaxError(
-                f"bad fraction {text!r}; expected forms like 1/2 or 2", lineno, col
-            ) from None
-    if tag == "int":
-        try:
-            return int(text)
-        except ValueError:
-            raise CircuitSyntaxError(
-                f"bad integer {text!r}", lineno, col
-            ) from None
-    return text  # a pol selector, kept as written: stage_problems checks it
+    if tag not in _NUMBERS:
+        return text  # a pol selector, kept as written: stage_problems checks it
+    m = _PI_RE.match(text) if tag == "angle" else None
+    if m:
+        sign = -1 if m.group(1) == "-" else 1
+        num = int(m.group(2)) if m.group(2) else 1
+        den = int(m.group(3)) if m.group(3) else 1
+        if den == 0:
+            raise CircuitSemanticError("zero denominator in angle", lineno, col)
+        return PiAngle(Fraction(sign * num, den))
+    read, error = _NUMBERS[tag]
+    try:
+        if not text.isascii() or "_" in text:  # numbers are ASCII digits; read() takes others, and 1_000
+            raise ValueError(text)
+        return read(text)
+    except (ValueError, ZeroDivisionError):
+        raise CircuitSyntaxError(error.format(text), lineno, col) from None
 
 
 def _format_value(value) -> str:
@@ -490,12 +483,16 @@ def print_circuit(circuit: Circuit) -> str:
 
     Raises:
         ValueError: a parameter named ``impl`` (it would print as the
-            stage's own ``impl=``), or a description line with a line break.
+            stage's own ``impl=``), or a description line that would parse
+            back otherwise: one with a line break, with leading or trailing
+            whitespace, or an empty last line.
     """
     out: list[str] = []
-    for line in circuit.description:
-        if "".join(line.splitlines()) != line:  # it would print as several lines
-            raise ValueError(f"description line {line!r} holds a line break")
+    for at, line in enumerate(circuit.description, start=1):
+        # the parser splits lines, strips each comment and drops trailing empty ones
+        if "".join(line.splitlines()) != line or line != line.strip() or (at == len(circuit.description) and not line):
+            raise ValueError(f"description line {line!r} holds a line break, leading or trailing whitespace, "
+                             "or is empty and last: it would not parse back as written")
         out.append(f"# {line}" if line else "#")
     out.append(f"lmax {circuit.lmax}")
     for photon in PHOTONS:

@@ -9,12 +9,14 @@ declared by ``sppm`` stages; and checkpoint positions after the last
 stage of each kind.  ``propagate`` pushes each input mode through its
 photon's ops once per plan, caching the images on the plan as one transfer
 matrix per photon and stage count (a column per input mode, a row per
-output mode reached), and builds each returned pair state as one
-contraction ``M_A Psi M_B^T`` of the input amplitudes with them, in
-complex128, dropping amplitudes of magnitude <= 1e-15.  The last state's
-input layout (each photon's columns, each pair's flat place in Psi) sits in
-one slot on the plan, so states on the same keys in the same order fill Psi
-in one assignment.  Only the counts the public calls return drop the
+output mode reached, as its index in ``space.modes()``), and builds each
+returned pair state as one contraction ``M_A Psi M_B^T`` of the input
+amplitudes with them, in complex128, dropping amplitudes of magnitude
+<= 1e-15; the state holds its pairs as those row indices, and builds no
+dict unless ``amplitudes`` is read.  The last state's input layout (each
+photon's columns, each pair's flat place in Psi) sits in one slot on the
+plan, so states on the same keys in the same order fill Psi in one
+assignment.  Only the counts the public calls return drop the
 ancilla, and ``restrict_to_circuit``'s leak scan runs on a count only if a
 row of its transfer matrices, noted per build, lies on the ancilla path.
 Light an op cannot take is parked beside its column with the error that
@@ -39,7 +41,7 @@ A per-photon dimension cap guards against accidentally huge spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -49,7 +51,7 @@ from .circuit import ANCILLA_PATH, PHOTONS, STAGE_KINDS, Circuit, label_problems
 from .elements import ColumnFn, Element, element_column
 from .errors import BellSimError, DimensionCap, LeakedAmplitude, UnsortableOam
 from .measurement import readout_error
-from .state import DROP_EPS, POLARIZATIONS, BasisMode, ModeSpace, TwoPhotonState, _clean
+from .state import DROP_EPS, POLARIZATIONS, BasisMode, ModeSpace, TwoPhotonState, _clean, _mode_table
 
 __all__ = [
     "Plan",
@@ -319,7 +321,8 @@ def validate(circuit: Circuit) -> ValidationReport:
 
 
 def restrict_to_circuit(plan: Plan, state: TwoPhotonState, where: str = "state") -> TwoPhotonState:
-    """Strip the compile-time ancilla path, checking it carries no light.
+    """Strip the compile-time ancilla path, checking it carries no light; a
+    state is read as mode indices in the plan's space, where the ancilla's come last.
 
     Raises:
         LeakedAmplitude: if more than 1e-10 of the probability sits on the
@@ -330,26 +333,27 @@ def restrict_to_circuit(plan: Plan, state: TwoPhotonState, where: str = "state")
     space = plan.circuit.space()
     if state.space == space:
         return state
-    kept = {
-        key: amp
-        for key, amp in state.amplitudes.items()
-        if key[0].path != plan.ancilla and key[1].path != plan.ancilla
-    }
-    if len(kept) < len(state.amplitudes):
-        leak = sum(abs(amp) ** 2 for key, amp in state.amplitudes.items() if key not in kept)
+    ja, jb, values = (state if state.space == plan.space else state.with_space(plan.space))._index_form()
+    dim = space.dimension  # the ancilla's modes come last in the plan's space: the circuit's keep their indices
+    kept = [k for k, (a, b) in enumerate(zip(ja, jb)) if a < dim and b < dim]
+    if len(kept) < len(values):
+        leak = sum(abs(v) ** 2 for a, b, v in zip(ja, jb, values) if a >= dim or b >= dim)
         if leak > 1e-10:
             raise LeakedAmplitude(f"{where}: probability {leak:.3e} left on ancilla path {plan.ancilla}")
+        ja, jb, values = ([x[k] for k in kept] for x in (ja, jb, values))
     # every kept mode was checked in the plan's space and is off the ancilla
-    return TwoPhotonState._trusted(space, kept)
+    return TwoPhotonState._indexed(space, ja, jb, values)
 
 
 class _Transfer:
     """One photon's pushed input modes, each as its image after every stage
     count, read as one matrix per count: column j is the j-th pushed mode's
-    image, and the rows are the output modes those images reach.  Beside
-    each column is the light its push parked, and each parked key's error."""
+    image, and the rows are the output modes those images reach, each held
+    as its index in ``space.modes()``.  Beside each column is the light its
+    push parked, and each parked key's error."""
 
-    def __init__(self, ancilla: str | None = None) -> None:
+    def __init__(self, space: ModeSpace, ancilla: str | None = None) -> None:
+        self.index = _mode_table(space)[1]
         self.ancilla = ancilla
         self.columns: list[list[dict]] = []
         self.parked: list[dict] = []  # per column: (stage, op, mode) -> amplitude
@@ -364,7 +368,7 @@ class _Transfer:
         return len(self.columns) - 1
 
     def at(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """(row modes as an object array, matrix) after ``count`` stages, built once per growth."""
+        """(row mode indices, matrix) after ``count`` stages, built once per growth."""
         if count not in self._built:
             rows: dict[BasisMode, int] = {}
             r, c, v = [], [], []
@@ -376,7 +380,7 @@ class _Transfer:
             mat = np.zeros((len(rows), len(self.columns)), dtype=np.complex128)
             mat[r, c] = v
             self.on_ancilla[count] = any(m.path == self.ancilla for m in rows)
-            self._built[count] = (np.fromiter(rows, dtype=object, count=len(rows)), mat)
+            self._built[count] = (np.array([self.index[m] for m in rows], dtype=np.intp), mat)
         return self._built[count]
 
 
@@ -386,7 +390,7 @@ def _push(plan: Plan, photon: str, mode: BasisMode) -> int:
     take (its column raises, or an image fails the space check) is parked
     under (stage position, op position, mode) and leaves the push."""
     if (photon, mode) not in plan._images:
-        transfer = plan._transfers.setdefault(photon, _Transfer(plan.ancilla))
+        transfer = plan._transfers.setdefault(photon, _Transfer(plan.space, plan.ancilla))
         amps: dict = {mode: 1.0 + 0.0j}
         images, parked = [amps], {}
         for s, cs in enumerate(plan.stages):
@@ -447,22 +451,25 @@ def _layout(plan: Plan, state: TwoPhotonState) -> tuple:
     index = [{m: i for i, m in enumerate(dict.fromkeys(p[side] for p in keys))} for side in (0, 1)]
     cols = [np.array([_push(plan, photon, m) for m in ix], dtype=np.intp) for photon, ix in zip(PHOTONS, index)]
     flat = np.array([index[0][a] * len(index[1]) + index[1][b] for a, b in keys], dtype=np.intp)
-    layout = (keys, *cols, flat)
+    # columns 0, 1, ... in order are read as a view of the matrix, not copied
+    takes = tuple(slice(0, len(c)) if c.tolist() == list(range(len(c))) else c for c in cols)
+    layout = (keys, *cols, flat, takes)
     object.__setattr__(plan, "_layout", layout)
     return layout
 
 
 def _states(plan: Plan, state: TwoPhotonState, counts: tuple[int, ...], where: dict | None = None) -> list:
     """The state in the plan's space after the first ``count`` stages, for each
-    count: ``M_A Psi M_B^T`` on the columns of the state's own input modes.  A
-    count named in ``where`` is restricted to the circuit's space as
-    ``restrict_to_circuit(plan, state, where[count])``, without its scan if no
-    transfer row of the count lies on the ancilla path."""
-    _, col_a, col_b, flat = _layout(plan, state)
+    count: ``M_A Psi M_B^T`` on the columns of the state's own input modes,
+    held as the transfer rows' mode indices.  A count named in ``where`` is
+    restricted to the circuit's space as ``restrict_to_circuit(plan, state,
+    where[count])``, without its scan if no transfer row of the count lies on
+    the ancilla path."""
+    _, col_a, col_b, flat, (take_a, take_b) = _layout(plan, state)
     psi = np.zeros(len(col_a) * len(col_b), dtype=np.complex128)
     psi[flat] = list(state.amplitudes.values())
     psi = psi.reshape(len(col_a), len(col_b))
-    ta, tb = transfers = [plan._transfers.get(photon) or _Transfer() for photon in PHOTONS]
+    ta, tb = transfers = [plan._transfers.get(photon) or _Transfer(plan.space) for photon in PHOTONS]
     if ta.errors or tb.errors:  # some push of the plan parked light
         _raise_parked(plan, psi, (col_a, col_b), transfers)
     out = []
@@ -471,15 +478,15 @@ def _states(plan: Plan, state: TwoPhotonState, counts: tuple[int, ...], where: d
             out.append(state if state.space == plan.space else state.with_space(plan.space))
         else:
             (rows_a, mat_a), (rows_b, mat_b) = ta.at(count), tb.at(count)
-            joint = mat_a[:, col_a] @ psi @ mat_b[:, col_b].T
+            joint = mat_a[:, take_a] @ psi @ mat_b[:, take_b].T
             hit = np.abs(joint) > DROP_EPS
             ia, ib = np.nonzero(hit)
-            amps = dict(zip(zip(rows_a[ia].tolist(), rows_b[ib].tolist()), joint[hit].tolist()))
+            pairs = rows_a[ia].tolist(), rows_b[ib].tolist(), joint[hit].tolist()
             # every image mode was checked in the plan's space by its push
-            out.append(TwoPhotonState._trusted(plan.space, amps))
+            out.append(TwoPhotonState._indexed(plan.space, *pairs))
         if where and count in where:
             if plan.ancilla and count and not (ta.on_ancilla[count] or tb.on_ancilla[count]):
-                out[-1] = TwoPhotonState._trusted(plan.circuit.space(), amps)
+                out[-1] = TwoPhotonState._indexed(plan.circuit.space(), *pairs)  # as restrict_to_circuit keeps them
             else:
                 out[-1] = restrict_to_circuit(plan, out[-1], where[count])
     return out
@@ -545,10 +552,6 @@ class AssembledUnitary:
     u_b: np.ndarray
     records: tuple[StageMatrixRecord, ...] = field(default_factory=tuple)
 
-    def __post_init__(self) -> None:
-        self._modes = self.space.modes()
-        self._index = {mode: i for i, mode in enumerate(self._modes)}
-
     def apply(self, state: TwoPhotonState) -> TwoPhotonState:
         """``apply_all`` on one state."""
         return self.apply_all([state])[0]
@@ -559,13 +562,11 @@ class AssembledUnitary:
         only the rows that ``u_a[:, S_A]`` and ``u_b[:, S_B]`` reach are formed."""
         k, a, b, amps = [], [], [], []
         for n, state in enumerate(states):
-            if state.space != self.space:
-                state = state.with_space(self.space)
-            for (ma, mb), amp in state.amplitudes.items():
-                k.append(n)
-                a.append(self._index[ma])
-                b.append(self._index[mb])
-                amps.append(amp)
+            ja, jb, values = (state if state.space == self.space else state.with_space(self.space))._index_form()
+            k += [n] * len(values)
+            a += ja
+            b += jb
+            amps += values
         s_a, a = np.unique(np.array(a, dtype=np.intp), return_inverse=True)
         s_b, b = np.unique(np.array(b, dtype=np.intp), return_inverse=True)
         psi = np.zeros((len(states), len(s_a), len(s_b)), dtype=np.complex128)
@@ -575,14 +576,10 @@ class AssembledUnitary:
         dense = _sum_of_products(_sum_of_products(left[ia], psi), right[ib].T)
         hit = np.abs(dense) > DROP_EPS
         at, rows, cols = np.nonzero(hit)
-        modes = self._modes
-        keys = zip([modes[i] for i in ia[rows].tolist()], [modes[j] for j in ib[cols].tolist()])
-        values = iter(zip(keys, dense[hit].tolist()))
-        # every output mode is one of space.modes(), so nothing is re-checked
-        return [
-            TwoPhotonState._trusted(self.space, dict(islice(values, count)))
-            for count in np.bincount(at, minlength=len(states)).tolist()
-        ]
+        ja, jb, values = ia[rows].tolist(), ib[cols].tolist(), dense[hit].tolist()
+        ends = np.cumsum(np.bincount(at, minlength=len(states))).tolist()
+        # every output row is a place in space.modes(), so nothing is re-checked
+        return [TwoPhotonState._indexed(self.space, ja[i:j], jb[i:j], values[i:j]) for i, j in zip([0, *ends], ends)]
 
 
 class _SparseOp(NamedTuple):

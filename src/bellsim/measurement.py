@@ -8,9 +8,10 @@ origin).  Joint two-photon outcomes are coincidence patterns such as::
     D[+1,H,a1] & D[-1,V,b2]
 
 ``sppm_project`` reads every state by the Born rule, one pass over its
-mode amplitudes through a (mode_A, mode_B) -> pattern table cached per
-pair of origin sets; only a pair missing from the table is checked, by
-the readout's one rule, ``readout_error``, which ``validate`` reads too.
+pairs as mode indices, each mapped to its photon's part of a pattern id
+(a place in ``enumerate_patterns``) by offset lists cached per space and
+origins; only a pair no detector reads is checked, by the readout's one
+rule, ``readout_error``, which ``validate`` reads too.
 The ``decomposed`` impl first checks, once per origin, that the explicit
 sorter elements send each (pol, l=+1/-1) mode to its own detector alone
 with a unit coefficient; the direct readout then equals the routed one.
@@ -24,7 +25,7 @@ from typing import Iterable, NamedTuple
 
 from .elements import SIGN_DOMAIN, Element, apply_elements, oam_sorter, pbs
 from .errors import BellSimError, CalibrationFailure, LeakedAmplitude, UnsortableOam
-from .state import POL_H, POL_V, POLARIZATIONS, BasisMode, ModeSpace, PhotonState, TwoPhotonState
+from .state import POL_H, POL_V, POLARIZATIONS, BasisMode, ModeSpace, PhotonState, TwoPhotonState, _mode_table
 
 __all__ = [
     "DetectorId",
@@ -87,43 +88,70 @@ def _patterns(origins_a: tuple[str, ...], origins_b: tuple[str, ...]) -> tuple[C
 
 
 @lru_cache(maxsize=256)
-def _pattern_table(origins_a: tuple[str, ...], origins_b: tuple[str, ...]) -> dict:
-    """(mode_A, mode_B) -> the pattern whose two detectors read that pair."""
-    return {
-        (BasisMode(p.det_a.pol, p.det_a.oam_sign, p.det_a.origin),
-         BasisMode(p.det_b.pol, p.det_b.oam_sign, p.det_b.origin)): p
-        for p in _patterns(origins_a, origins_b)
-    }
+def _offsets(space: ModeSpace, origins_a: tuple[str, ...], origins_b: tuple[str, ...]) -> tuple[list, list]:
+    """Per mode of ``space.modes()``, for photon A and for photon B: its part
+    of the id (place in ``enumerate_patterns``) of the patterns whose
+    detector reads it, or ``None`` if none does.  An id is the sum of its parts."""
+    index = _mode_table(space)[1]
+    da, db = detectors_for_origins(origins_a), detectors_for_origins(origins_b)
+    parts = ([None] * space.dimension, [None] * space.dimension)
+    for part, detectors, stride in zip(parts, (da, db), (len(db), 1)):  # photon A is the major axis
+        for d, det in enumerate(detectors):
+            j = index.get(BasisMode(det.pol, det.oam_sign, det.origin))
+            if j is not None:
+                part[j] = d * stride
+    return parts
 
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Probabilities over coincidence patterns; must sum to one."""
+    """Probabilities over coincidence patterns; must sum to one.  One that
+    ``sppm_project`` reads out builds ``probs`` on first read."""
 
     origins_a: tuple[str, ...]
     origins_b: tuple[str, ...]
     probs: dict[CoincidencePattern, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "origins_a", tuple(self.origins_a))
-        object.__setattr__(self, "origins_b", tuple(self.origins_b))
-        if min(self.probs.values(), default=0.0) < -PROBABILITY_TOL:
+        self.__dict__.update(origins_a=tuple(self.origins_a), origins_b=tuple(self.origins_b))
+        self._hold(self.probs.values(), [self.probs.get(p, 0.0) for p in _patterns(self.origins_a, self.origins_b)])
+
+    @classmethod
+    def _read(cls, origins_a: tuple, origins_b: tuple, ids: list[int], values: list[float]) -> "OutcomeDistribution":
+        """Probability ``values[k]`` on pattern ``ids[k]``; no two pairs of modes read the same pattern."""
+        dist, dense = object.__new__(cls), [0.0] * len(_patterns(origins_a, origins_b))
+        for i, p in zip(ids, values):
+            dense[i] = p
+        dist.__dict__.update(origins_a=origins_a, origins_b=origins_b, _pairs=(ids, values))
+        dist._hold(values, dense)
+        return dist
+
+    def __getattr__(self, name: str):
+        # called only for a missing attribute: a readout's probs, in its state's pair order
+        if name != "probs" or "_pairs" not in self.__dict__:
+            raise AttributeError(name)
+        patterns, (ids, values) = _patterns(self.origins_a, self.origins_b), self._pairs
+        probs = self.__dict__["probs"] = {patterns[i]: p for i, p in zip(ids, values)}
+        return probs
+
+    def _hold(self, values, dense: list[float]) -> None:
+        """Keep ``dense`` (pattern order) if ``values`` (``probs`` order) hold none negative and sum to one."""
+        if min(values, default=0.0) < -PROBABILITY_TOL:
             pattern, p = next((k, p) for k, p in self.probs.items() if p < -PROBABILITY_TOL)
             raise ValueError(f"negative probability {p} for {pattern}")
-        total = sum(self.probs.values())
+        total = sum(values)
         if abs(total - 1.0) > PROBABILITY_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
+        self.__dict__["_dense"] = dense
 
     def probability(self, pattern: CoincidencePattern) -> float:
         return self.probs.get(pattern, 0.0)
 
     def support(self) -> tuple[CoincidencePattern, ...]:
-        probs = self.probs
-        return tuple([p for p in _patterns(self.origins_a, self.origins_b) if probs.get(p, 0.0) > PROBABILITY_TOL])
+        return tuple([x for x, p in zip(_patterns(self.origins_a, self.origins_b), self._dense) if p > PROBABILITY_TOL])
 
     def items_ordered(self):
-        for pattern in _patterns(self.origins_a, self.origins_b):
-            p = self.probs.get(pattern, 0.0)
+        for pattern, p in zip(_patterns(self.origins_a, self.origins_b), self._dense):
             if p > PROBABILITY_TOL:
                 yield pattern, p
 
@@ -215,17 +243,16 @@ def sppm_project(
             _routes(origin)
     elif impl != "canonical":
         raise ValueError(f"bad impl: {impl!r}")
-    # a pair of modes maps to one pattern, and no two pairs to the same one
-    table = _pattern_table(origins_a, origins_b)
-    amps = state.amplitudes
+    off_a, off_b = _offsets(state.space, origins_a, origins_b)
+    ja, jb, values = state._index_form()
     try:
-        patterns = list(map(table.__getitem__, amps))
-    except KeyError:  # the first pair no pattern reads: photon A's readout error, else photon B's
-        pair, amp = next((pair, amp) for pair, amp in amps.items() if pair not in table)
-        raise readout_error("A", pair[0], amp, origins_a) or readout_error("B", pair[1], amp, origins_b)
+        ids = [off_a[a] + off_b[b] for a, b in zip(ja, jb)]
+    except TypeError:  # the first pair no detector reads: photon A's readout error, else photon B's
+        modes = _mode_table(state.space)[0]
+        a, b, amp = next((modes[a], modes[b], v) for a, b, v in zip(ja, jb, values) if None in (off_a[a], off_b[b]))
+        raise readout_error("A", a, amp, origins_a) or readout_error("B", b, amp, origins_b)
     # abs(a) ** 2: a vectorised square differs from it in the last bit on some amplitudes
-    probs = dict(zip(patterns, [abs(a) ** 2 for a in amps.values()]))
-    return OutcomeDistribution(origins_a, origins_b, probs)
+    return OutcomeDistribution._read(origins_a, origins_b, ids, [abs(a) ** 2 for a in values])
 
 
 def readout_error(photon: str, mode: BasisMode, amp: complex, origins: tuple) -> BellSimError | None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Union
 
 from .errors import DimensionMismatch, OamOverflow, UnknownPath, ZeroNorm
@@ -120,15 +121,19 @@ class ModeSpace:
         return out
 
     def index(self, mode: BasisMode) -> int:
-        path_i = self.paths.index(mode.path)
-        oam_i = mode.oam + self.lmax
-        pol_i = POLARIZATIONS.index(mode.pol)
-        return (path_i * (2 * self.lmax + 1) + oam_i) * 2 + pol_i
+        return _mode_table(self)[1][mode]
 
     def extended(self, extra_paths: Iterable[str]) -> "ModeSpace":
         """Same OAM bound with additional paths appended (scoped internals)."""
         new = tuple(p for p in extra_paths if p not in self.paths)
         return ModeSpace(self.lmax, self.paths + new)
+
+
+@lru_cache(maxsize=64)
+def _mode_table(space: ModeSpace) -> tuple[tuple[BasisMode, ...], dict[BasisMode, int]]:
+    """``space.modes()`` as a tuple, and each mode's place in it."""
+    modes = tuple(space.modes())
+    return modes, {m: j for j, m in enumerate(modes)}
 
 
 def _clean(amps: dict) -> dict:
@@ -166,6 +171,9 @@ class TwoPhotonState:
 
     The photons are distinguishable (different spatial inputs), so no
     symmetrization is applied; both factors share one mode space.
+
+    One the engine returns holds its pairs as mode indices and builds
+    ``amplitudes`` on first read; ``_index_form`` reads either kind.
     """
 
     space: ModeSpace
@@ -183,17 +191,37 @@ class TwoPhotonState:
         state.__dict__.update(space=space, amplitudes=amplitudes)
         return state
 
+    @classmethod
+    def _indexed(cls, space: ModeSpace, ja: list, jb: list, values: list) -> "TwoPhotonState":
+        """Pair k is modes ``ja[k]``, ``jb[k]`` of ``space.modes()``, amplitude ``values[k]``; unchecked."""
+        state = object.__new__(cls)
+        state.__dict__.update(space=space, _pairs=(ja, jb, values))
+        return state
+
+    def __getattr__(self, name: str):
+        # called only for a missing attribute: an index-built state's amplitudes, in pair order
+        if name != "amplitudes" or "_pairs" not in self.__dict__:
+            raise AttributeError(name)
+        modes, (ja, jb, values) = _mode_table(self.space)[0], self._pairs
+        amps = self.__dict__["amplitudes"] = {(modes[a], modes[b]): v for a, b, v in zip(ja, jb, values)}
+        return amps
+
+    def _index_form(self) -> tuple[list[int], list[int], list[complex]]:
+        """Each pair's two mode indices in ``space.modes()``, and the amplitudes, in key order."""
+        if "_pairs" in self.__dict__:
+            return self._pairs
+        index, amps = _mode_table(self.space)[1], self.amplitudes
+        return [index[a] for a, _ in amps], [index[b] for _, b in amps], list(amps.values())
+
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
 
     def amplitude(self, pair: tuple[BasisMode, BasisMode]) -> complex:
         return self.amplitudes.get(pair, 0.0 + 0.0j)
 
-    def _pair_index(self, pair: tuple[BasisMode, BasisMode]) -> tuple[int, int]:
-        return (self.space.index(pair[0]), self.space.index(pair[1]))
-
     def items_sorted(self) -> list[tuple[tuple[BasisMode, BasisMode], complex]]:
-        return sorted(self.amplitudes.items(), key=lambda kv: self._pair_index(kv[0]))
+        index = _mode_table(self.space)[1]
+        return sorted(self.amplitudes.items(), key=lambda kv: (index[kv[0][0]], index[kv[0][1]]))
 
     def with_space(self, space: ModeSpace) -> "TwoPhotonState":
         """Re-host the same amplitudes in a compatible (super)space; modes

@@ -54,7 +54,7 @@ def test_builtin_round_trips_byte_for_byte():
     assert parse_circuit(print_circuit(circuit)) == circuit
 
 
-@pytest.mark.parametrize("line", ["x\n#y", "first\nlmax 9", "x\n", "a\x0cb", "a\u2028b"])
+@pytest.mark.parametrize("line", ["x\n#y", "first\nlmax 9", "x\n", "a\x0cb", "a\u2028b", " x", "x\t", ""])
 def test_printer_refuses_a_description_line_with_a_line_break(line):
     """Printed, the line would come back as several: as another description
     line, silently, or as a directive."""
@@ -172,6 +172,7 @@ FIXTURES = [
     ("fractional_charge.circ", CircuitSemanticError, 2, 1, "half-integer"),
     ("same_path_twice.circ", CircuitSemanticError, 2, 1, "same path twice"),
     ("nonfinite_angle.circ", CircuitSemanticError, 2, 34, "theta must be finite"),
+    ("nonascii_numeral.circ", CircuitSyntaxError, 2, 30, "bad integer '\u0663'"),
 ]
 
 
@@ -185,6 +186,26 @@ def test_malformed_fixture(name, exc, line, column, fragment):
     assert err.column == column
     assert fragment in str(err)
     assert f"line {line}, column {column}" in str(err)
+
+
+@pytest.mark.parametrize(
+    "kind,value",
+    [
+        ("spp", "l=\u0663"),
+        ("hwp", "theta=pi/\u0668"),
+        ("hwp", "theta=\u0663pi"),
+        ("hwp", "theta=1_000"),
+        ("qp", "q=1_0/2"),
+    ],
+)
+def test_numbers_are_ascii_digits_only(kind, value):
+    """Python's int, float and Fraction also read other scripts' digits and
+    underscores; the grammar's numbers are ASCII digits, and any other form
+    fails at the value's column."""
+    line = f"stage {kind} photon=A paths=a {value}"
+    with pytest.raises(CircuitSyntaxError) as info:
+        parse_circuit(f"paths a\n{line}\n")
+    assert (info.value.line, info.value.column) == (2, line.index(value) + value.index("=") + 2)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bellsim import measurement
-from bellsim.analyzer import analyze, random_input_states
+from bellsim.analyzer import BELL_LABELS, analyze, prepare_input, random_input_states
 from bellsim.circuit import builtin_document, parse_circuit
 from bellsim.engine import compile_circuit, propagate
 from bellsim.errors import CalibrationFailure, LeakedAmplitude, UnsortableOam
@@ -18,6 +18,7 @@ from bellsim.measurement import (
     sppm_project,
 )
 from bellsim.state import BasisMode, ModeSpace, TwoPhotonState
+from test_circuit import READOUT_CASES
 
 SPACE = ModeSpace(lmax=4, paths=("a1", "a2", "b1", "b2", "c", "d"))
 
@@ -193,6 +194,36 @@ def test_readout_is_abs_squared_to_the_last_bit(impl):
         probs = sppm_project(out, origins_a, origins_b, impl).probs
         want = {table[pair]: abs(a) ** 2 for pair, a in out.amplitudes.items()}
         assert [(k, p.hex()) for k, p in probs.items()] == [(k, p.hex()) for k, p in want.items()]
+
+
+def _readout(plan, state, impl):
+    """``sppm_project`` at the plan's origins: each probability's pattern and
+    bits in order, the support, and the distribution; or the error's type and text."""
+    try:
+        dist = sppm_project(state, plan.origins["A"], plan.origins["B"], impl)
+    except (LeakedAmplitude, UnsortableOam) as exc:
+        return type(exc), str(exc)
+    return [(k, p.hex()) for k, p in dist.probs.items()], dist.support(), dist
+
+
+@pytest.mark.parametrize("impl", ["canonical", "decomposed"])
+@pytest.mark.parametrize("case", ["fig2", *READOUT_CASES])
+def test_index_and_dict_built_states_read_out_alike(case, impl):
+    """``propagate`` returns its pairs as mode indices; the same state built
+    from its amplitudes dict reads out to the same bits, order, support and
+    distribution, and raises the same error where no detector reads a pair."""
+    text, _, error = (builtin_document("fig2"), None, None) if case == "fig2" else READOUT_CASES[case]
+    plan = compile_circuit(parse_circuit(text), impl)
+    space = plan.circuit.space()
+    inputs = [prepare_input(label, space) for label in BELL_LABELS]
+    errors = set()
+    for state in inputs + random_input_states(200, 0x1D5, space):
+        out = propagate(plan, state)
+        assert "amplitudes" not in vars(out)  # built on first read, after this readout
+        got = _readout(plan, out, impl)
+        assert got == _readout(plan, TwoPhotonState(space, dict(out.amplitudes)), impl)
+        errors.add(got[0] if isinstance(got[0], type) else None)
+    assert errors == {error}
 
 
 @pytest.mark.parametrize("impl", ["canonical", "decomposed"])
