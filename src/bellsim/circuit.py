@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from numbers import Integral, Rational
 from typing import Callable, NamedTuple
@@ -81,7 +81,6 @@ class Stage:
     paths: tuple[str, ...]
     params: dict = field(default_factory=dict)
     impl: str = "canonical"
-    line: int = 0
 
     def header(self) -> str:
         return f"{self.kind} photon={self.photon} paths={','.join(self.paths)}"
@@ -97,7 +96,10 @@ class Circuit:
     description: tuple[str, ...] = ()
 
     def space(self) -> ModeSpace:
-        return ModeSpace(self.lmax, self.paths)
+        return _space(self.lmax, self.paths)
+
+
+_space = lru_cache(maxsize=64)(ModeSpace)
 
 
 # -- stage kinds --------------------------------------------------------
@@ -393,7 +395,7 @@ def _parse_stage(tokens: list[tuple[str, int]], lineno: int, declared: tuple[str
     for key in ("photon", "paths"):
         if key not in fields:
             raise CircuitSyntaxError(f"missing required key {key}=", lineno, start)
-    stage = Stage(kind, params=params, line=lineno, **fields)
+    stage = Stage(kind, params=params, **fields)
     for cls, key, message in stage_problems(stage, declared):  # raise the first
         raise cls(message, lineno, value_cols.get(key, start))
     return stage

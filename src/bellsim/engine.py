@@ -12,10 +12,10 @@ matrix per photon and stage count (a column per input mode, a row per
 output mode reached, as its index in ``space.modes()``), and builds each
 returned pair state as one contraction ``M_A Psi M_B^T`` of the input
 amplitudes with them, in complex128, dropping amplitudes of magnitude
-<= 1e-15; the state holds its pairs as those row indices, and builds no
-dict unless ``amplitudes`` is read.  The last state's input layout (each
-photon's columns, each pair's flat place in Psi) sits in one slot on the
-plan, so states on the same keys in the same order fill Psi in one
+<= 1e-15; the state holds its pairs as those row indices.  The last
+state's space and mode indices, with its layout (each photon's columns,
+each pair's flat place in Psi), sit in one slot on the plan, so states on
+the same indices in the same order fill Psi in one
 assignment.  Only the counts the public calls return drop the
 ancilla, and ``restrict_to_circuit``'s leak scan runs on a count only if a
 row of its transfer matrices, noted per build, lies on the ancilla path.
@@ -110,7 +110,7 @@ class Plan:
     # (photon, input mode) -> its column in the photon's _Transfer
     _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _transfers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (pair keys, photon A's columns, photon B's columns, flat Psi index per pair)
+    # ((space, photon A's and B's mode indices), photon A's columns, photon B's columns, flat Psi index per pair)
     # of the last state propagated: one tuple, replaced whole
     _layout: tuple = field(default=(None,), init=False, repr=False, compare=False)
 
@@ -331,9 +331,7 @@ def restrict_to_circuit(plan: Plan, state: TwoPhotonState, where: str = "state")
     if plan.ancilla is None:
         return state
     space = plan.circuit.space()
-    if state.space == space:
-        return state
-    ja, jb, values = (state if state.space == plan.space else state.with_space(plan.space))._index_form()
+    ja, jb, values = state.with_space(plan.space)._pairs
     dim = space.dimension  # the ancilla's modes come last in the plan's space: the circuit's keep their indices
     kept = [k for k, (a, b) in enumerate(zip(ja, jb)) if a < dim and b < dim]
     if len(kept) < len(values):
@@ -440,20 +438,20 @@ def _raise_parked(plan: Plan, psi: np.ndarray, cols: tuple, transfers: list) -> 
 
 
 def _layout(plan: Plan, state: TwoPhotonState) -> tuple:
-    """The plan's layout slot if it holds the state's keys in the same order, else a new one stored there."""
-    keys = tuple(state.amplitudes)
+    """The plan's layout slot if it holds the state's space and pairs in the same order, else a new one stored there."""
+    key = (state.space, *state._pairs[:2])
     layout = plan._layout  # read once: another call may replace the slot
-    if layout[0] == keys:
+    if layout[0] == key:
         return layout
-    if state.space != plan.space:
-        state.with_space(plan.space)  # raises on a mode outside the plan's space
+    ja, jb, _ = state.with_space(plan.space)._pairs  # raises on a mode outside the plan's space
+    modes = _mode_table(plan.space)[0]
     # Psi's rows and columns follow the state's own mode order, not the plan's history
-    index = [{m: i for i, m in enumerate(dict.fromkeys(p[side] for p in keys))} for side in (0, 1)]
-    cols = [np.array([_push(plan, photon, m) for m in ix], dtype=np.intp) for photon, ix in zip(PHOTONS, index)]
-    flat = np.array([index[0][a] * len(index[1]) + index[1][b] for a, b in keys], dtype=np.intp)
+    index = [{j: i for i, j in enumerate(dict.fromkeys(js))} for js in (ja, jb)]
+    cols = [np.array([_push(plan, photon, modes[j]) for j in ix], dtype=np.intp) for photon, ix in zip(PHOTONS, index)]
+    flat = np.array([index[0][a] * len(index[1]) + index[1][b] for a, b in zip(ja, jb)], dtype=np.intp)
     # columns 0, 1, ... in order are read as a view of the matrix, not copied
     takes = tuple(slice(0, len(c)) if c.tolist() == list(range(len(c))) else c for c in cols)
-    layout = (keys, *cols, flat, takes)
+    layout = (key, *cols, flat, takes)
     object.__setattr__(plan, "_layout", layout)
     return layout
 
@@ -467,7 +465,7 @@ def _states(plan: Plan, state: TwoPhotonState, counts: tuple[int, ...], where: d
     the ancilla path."""
     _, col_a, col_b, flat, (take_a, take_b) = _layout(plan, state)
     psi = np.zeros(len(col_a) * len(col_b), dtype=np.complex128)
-    psi[flat] = list(state.amplitudes.values())
+    psi[flat] = state._pairs[2]
     psi = psi.reshape(len(col_a), len(col_b))
     ta, tb = transfers = [plan._transfers.get(photon) or _Transfer(plan.space) for photon in PHOTONS]
     if ta.errors or tb.errors:  # some push of the plan parked light
@@ -475,7 +473,7 @@ def _states(plan: Plan, state: TwoPhotonState, counts: tuple[int, ...], where: d
     out = []
     for count in counts:
         if not count:
-            out.append(state if state.space == plan.space else state.with_space(plan.space))
+            out.append(state.with_space(plan.space))
         else:
             (rows_a, mat_a), (rows_b, mat_b) = ta.at(count), tb.at(count)
             joint = mat_a[:, take_a] @ psi @ mat_b[:, take_b].T
@@ -562,7 +560,7 @@ class AssembledUnitary:
         only the rows that ``u_a[:, S_A]`` and ``u_b[:, S_B]`` reach are formed."""
         k, a, b, amps = [], [], [], []
         for n, state in enumerate(states):
-            ja, jb, values = (state if state.space == self.space else state.with_space(self.space))._index_form()
+            ja, jb, values = state.with_space(self.space)._pairs
             k += [n] * len(values)
             a += ja
             b += jb

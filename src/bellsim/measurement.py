@@ -11,7 +11,8 @@ origin).  Joint two-photon outcomes are coincidence patterns such as::
 pairs as mode indices, each mapped to its photon's part of a pattern id
 (a place in ``enumerate_patterns``) by offset lists cached per space and
 origins; only a pair no detector reads is checked, by the readout's one
-rule, ``readout_error``, which ``validate`` reads too.
+rule, ``readout_error``, which ``validate`` reads too.  A distribution
+holds those ids, and ``tvd`` walks them.
 The ``decomposed`` impl first checks, once per origin, that the explicit
 sorter elements send each (pol, l=+1/-1) mode to its own detector alone
 with a unit coefficient; the direct readout then equals the routed one.
@@ -19,8 +20,8 @@ with a unit coefficient; the direct readout then equals the routed one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 from .elements import SIGN_DOMAIN, Element, apply_elements, oam_sorter, pbs
@@ -103,46 +104,46 @@ def _offsets(space: ModeSpace, origins_a: tuple[str, ...], origins_b: tuple[str,
     return parts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OutcomeDistribution:
-    """Probabilities over coincidence patterns; must sum to one.  One that
-    ``sppm_project`` reads out builds ``probs`` on first read."""
+    """Probabilities over coincidence patterns; must sum to one.  Held as pattern ids with their
+    probabilities in ``probs`` order (``_pairs``), and in pattern order (``_dense``); ``probs`` is built when read."""
 
     origins_a: tuple[str, ...]
     origins_b: tuple[str, ...]
-    probs: dict[CoincidencePattern, float] = field(default_factory=dict)
+    probs: dict[CoincidencePattern, float]
 
-    def __post_init__(self):
-        self.__dict__.update(origins_a=tuple(self.origins_a), origins_b=tuple(self.origins_b))
-        self._hold(self.probs.values(), [self.probs.get(p, 0.0) for p in _patterns(self.origins_a, self.origins_b)])
+    def __init__(self, origins_a: Iterable[str], origins_b: Iterable[str], probs: dict) -> None:
+        """Raises ``ValueError`` on a pattern no detector behind the origins reads."""
+        origins_a, origins_b = tuple(origins_a), tuple(origins_b)
+        index = {p: i for i, p in enumerate(_patterns(origins_a, origins_b))}
+        for pattern in (p for p in probs if p not in index):
+            raise ValueError(f"no detector behind origins {origins_a} and {origins_b} reads {pattern}")
+        self._hold(origins_a, origins_b, [index[p] for p in probs], list(probs.values()))
 
     @classmethod
     def _read(cls, origins_a: tuple, origins_b: tuple, ids: list[int], values: list[float]) -> "OutcomeDistribution":
-        """Probability ``values[k]`` on pattern ``ids[k]``; no two pairs of modes read the same pattern."""
-        dist, dense = object.__new__(cls), [0.0] * len(_patterns(origins_a, origins_b))
-        for i, p in zip(ids, values):
-            dense[i] = p
-        dist.__dict__.update(origins_a=origins_a, origins_b=origins_b, _pairs=(ids, values))
-        dist._hold(values, dense)
+        dist = object.__new__(cls)
+        dist._hold(origins_a, origins_b, ids, values)
         return dist
 
-    def __getattr__(self, name: str):
-        # called only for a missing attribute: a readout's probs, in its state's pair order
-        if name != "probs" or "_pairs" not in self.__dict__:
-            raise AttributeError(name)
+    @cached_property
+    def probs(self) -> dict[CoincidencePattern, float]:
         patterns, (ids, values) = _patterns(self.origins_a, self.origins_b), self._pairs
-        probs = self.__dict__["probs"] = {patterns[i]: p for i, p in zip(ids, values)}
-        return probs
+        return {patterns[i]: p for i, p in zip(ids, values)}
 
-    def _hold(self, values, dense: list[float]) -> None:
-        """Keep ``dense`` (pattern order) if ``values`` (``probs`` order) hold none negative and sum to one."""
+    def _hold(self, origins_a: tuple, origins_b: tuple, ids: list[int], values: list[float]) -> None:
+        """Keep probability ``values[k]`` on pattern ``ids[k]``, no two alike, if none is negative and they sum to 1."""
+        dense = [0.0] * len(_patterns(origins_a, origins_b))
+        for i, p in zip(ids, values):
+            dense[i] = p
+        self.__dict__.update(origins_a=origins_a, origins_b=origins_b, _pairs=(ids, values), _dense=dense)
         if min(values, default=0.0) < -PROBABILITY_TOL:
             pattern, p = next((k, p) for k, p in self.probs.items() if p < -PROBABILITY_TOL)
             raise ValueError(f"negative probability {p} for {pattern}")
         total = sum(values)
         if abs(total - 1.0) > PROBABILITY_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        self.__dict__["_dense"] = dense
 
     def probability(self, pattern: CoincidencePattern) -> float:
         return self.probs.get(pattern, 0.0)
@@ -156,11 +157,15 @@ class OutcomeDistribution:
                 yield pattern, p
 
     def tvd(self, other: "OutcomeDistribution") -> float:
-        """Total variation distance to another distribution."""
-        # summed in dict order: a set union of the keys would order by string hashes
-        ps, qs = self.probs, other.probs
-        only_other = sum(q for k, q in qs.items() if k not in ps)
-        return 0.5 * (sum(abs(p - qs.get(k, 0.0)) for k, p in ps.items()) + only_other)
+        """Total variation distance to another distribution behind the same origins."""
+        behind = (self.origins_a, self.origins_b), (other.origins_a, other.origins_b)
+        if _patterns(*behind[0]) != _patterns(*behind[1]):
+            raise ValueError(f"distributions behind different origins: {behind[0]} and {behind[1]}")
+        # summed in probs order: a set union of the patterns would order by string hashes
+        (ids, ps), (other_ids, qs) = self._pairs, other._pairs
+        mine = set(ids)
+        only_other = sum(q for i, q in zip(other_ids, qs) if i not in mine)
+        return 0.5 * (sum(abs(p - other._dense[i]) for i, p in zip(ids, ps)) + only_other)
 
 
 # -- sorter front ends --------------------------------------------------
@@ -244,7 +249,7 @@ def sppm_project(
     elif impl != "canonical":
         raise ValueError(f"bad impl: {impl!r}")
     off_a, off_b = _offsets(state.space, origins_a, origins_b)
-    ja, jb, values = state._index_form()
+    ja, jb, values = state._pairs
     try:
         ids = [off_a[a] + off_b[b] for a, b in zip(ja, jb)]
     except TypeError:  # the first pair no detector reads: photon A's readout error, else photon B's

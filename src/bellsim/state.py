@@ -4,9 +4,10 @@ A single photon lives in the product space
 
     {H, V}  x  {-lmax, ..., +lmax}  x  {declared paths}
 
-and is stored as a sparse map from basis modes to complex amplitudes.
-States are treated as immutable values: every operation returns a new
-state and never mutates its inputs.
+and is stored as a sparse map from basis modes to complex amplitudes (a
+photon pair as two ``ModeSpace.index`` values per pair, the map built when
+read).  States are treated as immutable values: every operation returns a
+new state and never mutates its inputs.
 
 Conventions pinned here (and relied on everywhere else):
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Union
 
 from .errors import DimensionMismatch, OamOverflow, UnknownPath, ZeroNorm
@@ -121,7 +122,12 @@ class ModeSpace:
         return out
 
     def index(self, mode: BasisMode) -> int:
-        return _mode_table(self)[1][mode]
+        """The mode's place in ``modes()``; a mode outside the space raises ``check_mode``'s error."""
+        try:
+            return _mode_table(self)[1][mode]
+        except KeyError:
+            self.check_mode(mode)
+            raise
 
     def extended(self, extra_paths: Iterable[str]) -> "ModeSpace":
         """Same OAM bound with additional paths appended (scoped internals)."""
@@ -165,31 +171,27 @@ class PhotonState:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TwoPhotonState:
     """Sparse two-photon state over ordered (mode_A, mode_B) pairs.
 
     The photons are distinguishable (different spatial inputs), so no
     symmetrization is applied; both factors share one mode space.
 
-    One the engine returns holds its pairs as mode indices and builds
-    ``amplitudes`` on first read; ``_index_form`` reads either kind.
+    The pairs are held as mode indices, in key order: pair k is modes
+    ``ja[k]`` and ``jb[k]`` of ``space.modes()`` with amplitude ``values[k]``
+    (``_pairs``); ``amplitudes`` is built on first read.  The constructor
+    raises ``space.index``'s error for the first mode outside ``space``, in
+    key order, photon A before B.
     """
 
     space: ModeSpace
     amplitudes: dict[tuple[BasisMode, BasisMode], complex]
 
-    def __post_init__(self) -> None:
-        for ma, mb in self.amplitudes:
-            self.space.check_mode(ma)
-            self.space.check_mode(mb)
-
-    @classmethod
-    def _trusted(cls, space: ModeSpace, amplitudes: dict) -> "TwoPhotonState":
-        """Build without re-checking modes the caller has already checked."""
-        state = object.__new__(cls)
-        state.__dict__.update(space=space, amplitudes=amplitudes)
-        return state
+    def __init__(self, space: ModeSpace, amplitudes: dict[tuple[BasisMode, BasisMode], complex]) -> None:
+        index = space.index
+        pairs = [(index(a), index(b)) for a, b in amplitudes]
+        self.__dict__.update(space=space, _pairs=([a for a, _ in pairs], [b for _, b in pairs], list(amplitudes.values())))
 
     @classmethod
     def _indexed(cls, space: ModeSpace, ja: list, jb: list, values: list) -> "TwoPhotonState":
@@ -198,23 +200,13 @@ class TwoPhotonState:
         state.__dict__.update(space=space, _pairs=(ja, jb, values))
         return state
 
-    def __getattr__(self, name: str):
-        # called only for a missing attribute: an index-built state's amplitudes, in pair order
-        if name != "amplitudes" or "_pairs" not in self.__dict__:
-            raise AttributeError(name)
+    @cached_property
+    def amplitudes(self) -> dict[tuple[BasisMode, BasisMode], complex]:
         modes, (ja, jb, values) = _mode_table(self.space)[0], self._pairs
-        amps = self.__dict__["amplitudes"] = {(modes[a], modes[b]): v for a, b, v in zip(ja, jb, values)}
-        return amps
-
-    def _index_form(self) -> tuple[list[int], list[int], list[complex]]:
-        """Each pair's two mode indices in ``space.modes()``, and the amplitudes, in key order."""
-        if "_pairs" in self.__dict__:
-            return self._pairs
-        index, amps = _mode_table(self.space)[1], self.amplitudes
-        return [index[a] for a, _ in amps], [index[b] for _, b in amps], list(amps.values())
+        return {(modes[a], modes[b]): v for a, b, v in zip(ja, jb, values)}
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+        return math.sqrt(sum(abs(a) ** 2 for a in self._pairs[2]))
 
     def amplitude(self, pair: tuple[BasisMode, BasisMode]) -> complex:
         return self.amplitudes.get(pair, 0.0 + 0.0j)
@@ -224,11 +216,13 @@ class TwoPhotonState:
         return sorted(self.amplitudes.items(), key=lambda kv: (index[kv[0][0]], index[kv[0][1]]))
 
     def with_space(self, space: ModeSpace) -> "TwoPhotonState":
-        """Re-host the same amplitudes in a compatible (super)space; modes
-        are re-checked only if ``space`` does not contain the current one."""
-        if space.lmax >= self.space.lmax and set(self.space.paths) <= set(space.paths):
-            return TwoPhotonState._trusted(space, dict(self.amplitudes))
-        return TwoPhotonState(space, dict(self.amplitudes))
+        """The same amplitudes in ``space``, in key order; raises ``space.index``'s
+        error for the first mode ``space`` lacks, in key order, photon A before B."""
+        if space == self.space:
+            return self
+        if space.lmax == self.space.lmax and space.paths[: len(self.space.paths)] == self.space.paths:
+            return TwoPhotonState._indexed(space, *self._pairs)  # appended paths' modes come after every old one
+        return TwoPhotonState(space, self.amplitudes)
 
 
 State = Union[PhotonState, TwoPhotonState]

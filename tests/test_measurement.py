@@ -7,8 +7,8 @@ import pytest
 from bellsim import measurement
 from bellsim.analyzer import BELL_LABELS, analyze, prepare_input, random_input_states
 from bellsim.circuit import builtin_document, parse_circuit
-from bellsim.engine import compile_circuit, propagate
-from bellsim.errors import CalibrationFailure, LeakedAmplitude, UnsortableOam
+from bellsim.engine import assemble, compile_circuit, propagate, restrict_to_circuit
+from bellsim.errors import CalibrationFailure, LeakedAmplitude, OamOverflow, UnknownPath, UnsortableOam
 from bellsim.measurement import (
     CoincidencePattern,
     DetectorId,
@@ -83,6 +83,34 @@ def test_tvd_counts_the_keys_of_both_sides():
     assert first.tvd(second) == second.tvd(first) == 0.5
     disjoint = OutcomeDistribution(("a1",), ("a2",), {patterns[2]: 1.0})
     assert first.tvd(disjoint) == disjoint.tvd(first) == 1.0
+
+
+def test_a_distribution_built_from_a_dict_holds_pattern_ids_until_probs_is_read():
+    patterns = enumerate_patterns(("a1", "b1"), ("a2", "b2"))
+    probs = {patterns[9]: 0.25, patterns[2]: 0.75}
+    dist = OutcomeDistribution(["a1", "b1"], ("a2", "b2"), probs)
+    assert "probs" not in vars(dist) and dist._pairs == ([9, 2], [0.25, 0.75])
+    assert dist.support() == (patterns[2], patterns[9]) and dist.origins_a == ("a1", "b1")
+    assert list(dist.probs.items()) == list(probs.items())
+
+
+def test_tvd_refuses_distributions_behind_different_origins():
+    first = _uniform_dist()
+    other = OutcomeDistribution(("b1",), ("a2",), {p: 1 / 16 for p in enumerate_patterns(("b1",), ("a2",))})
+    with pytest.raises(ValueError, match="behind different origins"):
+        first.tvd(other)
+    with pytest.raises(ValueError, match="behind different origins"):
+        other.tvd(first)
+
+
+def test_distribution_refuses_a_pattern_no_detector_behind_its_origins_reads():
+    """Such a pattern would sum into ``probs`` and be missing from ``support()``."""
+    unread = CoincidencePattern(DetectorId(1, "H", "zz"), DetectorId(1, "H", "a2"))
+    with pytest.raises(ValueError, match=r"^no detector behind origins \('a1', 'b1'\) and \('a2', 'b2'\) reads "):
+        OutcomeDistribution(("a1", "b1"), ("a2", "b2"), {unread: 1.0})
+    read = enumerate_patterns(("a1",), ("a2",))[0]
+    with pytest.raises(ValueError, match="reads D\\[-1,H,a1\\] & D\\[-1,H,a2\\]$"):
+        OutcomeDistribution(("b1",), ("a2",), {read: 1.0})
 
 
 # -- projection ---------------------------------------------------------
@@ -206,23 +234,63 @@ def _readout(plan, state, impl):
     return [(k, p.hex()) for k, p in dist.probs.items()], dist.support(), dist
 
 
+def _dict_tvd(x, y):
+    """Total variation distance summed over the two ``probs`` dicts, in their order."""
+    ps, qs = x.probs, y.probs
+    only_other = sum(q for k, q in qs.items() if k not in ps)
+    return 0.5 * (sum(abs(p - qs.get(k, 0.0)) for k, p in ps.items()) + only_other)
+
+
+def _first_missing(state, space):
+    """``check_mode``'s error for the first mode of ``state`` that ``space``
+    lacks, in key order, photon A before B, as type and text; else None."""
+    for mode in (m for pair in state.amplitudes for m in pair):
+        try:
+            space.check_mode(mode)
+        except (OamOverflow, UnknownPath) as exc:
+            return type(exc), str(exc)
+    return None
+
+
 @pytest.mark.parametrize("impl", ["canonical", "decomposed"])
 @pytest.mark.parametrize("case", ["fig2", *READOUT_CASES])
 def test_index_and_dict_built_states_read_out_alike(case, impl):
-    """``propagate`` returns its pairs as mode indices; the same state built
-    from its amplitudes dict reads out to the same bits, order, support and
-    distribution, and raises the same error where no detector reads a pair."""
+    """``propagate`` and the constructor hold the same pairs as mode indices
+    and build ``amplitudes`` only on first read, in the dict's order; the two
+    read out to the same bits, order, support and distribution, and raise
+    the same error where no detector reads a pair.  ``with_space`` into a
+    space lacking a mode raises for the first in key order.  The oracle's
+    sparse and dense readouts have the ``tvd`` of the dict formula, bit for bit."""
     text, _, error = (builtin_document("fig2"), None, None) if case == "fig2" else READOUT_CASES[case]
     plan = compile_circuit(parse_circuit(text), impl)
     space = plan.circuit.space()
+    smaller = ModeSpace(1, tuple(reversed(space.paths))), ModeSpace(space.lmax, space.paths[1:])
     inputs = [prepare_input(label, space) for label in BELL_LABELS]
+    inputs += random_input_states(200, 0x1D5, space)
     errors = set()
-    for state in inputs + random_input_states(200, 0x1D5, space):
+    for state, applied in zip(inputs, assemble(plan).apply_all(inputs)):
         out = propagate(plan, state)
         assert "amplitudes" not in vars(out)  # built on first read, after this readout
         got = _readout(plan, out, impl)
-        assert got == _readout(plan, TwoPhotonState(space, dict(out.amplitudes)), impl)
+        amps = dict(out.amplitudes)
+        built = TwoPhotonState(space, amps)
+        assert "amplitudes" not in vars(built) and built._pairs == out._pairs
+        assert list(built.amplitudes.items()) == list(amps.items())
+        assert got == _readout(plan, built, impl)
         errors.add(got[0] if isinstance(got[0], type) else None)
+        for target in smaller:
+            missing = _first_missing(out, target)
+            try:
+                moved = out.with_space(target)
+            except (OamOverflow, UnknownPath) as exc:
+                assert (type(exc), str(exc)) == missing
+            else:
+                assert missing is None and list(moved.amplitudes.items()) == list(amps.items())
+        if isinstance(got[0], type):
+            continue
+        dense = _readout(plan, restrict_to_circuit(plan, applied, "dense oracle output"), impl)[2]
+        for x, y in ((got[2], dense), (dense, got[2])):
+            assert x.tvd(y).hex() == _dict_tvd(x, y).hex()
     assert errors == {error}
 
 

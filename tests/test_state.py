@@ -42,6 +42,26 @@ def test_modes_are_ordered_and_indexable():
     assert modes[10] == BasisMode("H", -2, "b")
 
 
+_OUTSIDE = [
+    (BasisMode("H", 9, "a"), OamOverflow, "OAM index +9 exceeds bound lmax=2"),
+    (BasisMode("H", 0, "zz"), UnknownPath, "path 'zz' is not declared (have ['a', 'b'])"),
+    (BasisMode("X", 0, "a"), ValueError, "unknown polarization 'X'"),
+]
+
+
+@pytest.mark.parametrize("mode,error,text", _OUTSIDE, ids=["oam", "path", "pol"])
+def test_a_mode_outside_the_space_raises_the_space_own_error(mode, error, text):
+    """``index`` and the pair-state constructor, which maps each key through
+    it, raise ``check_mode``'s error for a mode the space lacks."""
+    with pytest.raises(error) as info:
+        SPACE.index(mode)
+    assert type(info.value) is error and str(info.value) == text
+    inside = BasisMode("H", 0, "a")
+    with pytest.raises(error) as info:
+        TwoPhotonState(SPACE, {(inside, inside): 0.6, (inside, mode): 0.8})
+    assert type(info.value) is error and str(info.value) == text
+
+
 def test_mode_str():
     assert str(BasisMode("H", 1, "a1")) == "|H,+1,a1>"
     assert str(BasisMode("V", -2, "b")) == "|V,-2,b>"
