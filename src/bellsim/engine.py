@@ -72,6 +72,8 @@ MAX_PHOTON_DIMENSION = 10_000
 #: ``validate`` reports light off the origins only for pushes entering here, the inputs the commands
 #: prepare (no command sends photon A in on a2, whose light leaves fig2 off A's origins)
 DEFAULT_ORIGINS = {"A": ("a1", "b1"), "B": ("a2", "b2")}
+#: each photon's l=0 input sector, the modes the analyzer's inputs enter on: H and V on each of its origins, path-major
+SECTOR_MODES = {p: tuple(BasisMode(pol, 0, path) for path in DEFAULT_ORIGINS[p] for pol in POLARIZATIONS) for p in PHOTONS}
 
 _IMPLS = (None, "canonical", "decomposed")
 _SEVERITIES = ("error", "warning", "note")
@@ -413,6 +415,15 @@ def _push(plan: Plan, photon: str, mode: BasisMode) -> int:
             images.append(amps)
         plan._images[photon, mode] = transfer.add(images, parked)
     return plan._images[photon, mode]
+
+
+def sector_columns(plan: Plan, photon: str, count: int) -> np.ndarray:
+    """The photon's ``SECTOR_MODES`` after ``count`` stages: the images ``propagate`` contracts, ``(space.dimension, 4)``."""
+    cols = [_push(plan, photon, mode) for mode in SECTOR_MODES[photon]]
+    rows, mat = plan._transfers[photon].at(count)
+    out = np.zeros((plan.space.dimension, len(cols)), dtype=np.complex128)
+    out[rows] = mat[:, cols]
+    return out
 
 
 def _raise_parked(plan: Plan, psi: np.ndarray, cols: tuple, transfers: list) -> None:

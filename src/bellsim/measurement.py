@@ -243,12 +243,7 @@ def sppm_project(
     """
     origins_a = tuple(origins_a)
     origins_b = tuple(origins_b)
-    if impl == "decomposed":
-        for origin in origins_a + origins_b:
-            _routes(origin)
-    elif impl != "canonical":
-        raise ValueError(f"bad impl: {impl!r}")
-    off_a, off_b = _offsets(state.space, origins_a, origins_b)
+    off_a, off_b = _readout_offsets(state.space, origins_a, origins_b, impl)
     ja, jb, values = state._pairs
     try:
         ids = [off_a[a] + off_b[b] for a, b in zip(ja, jb)]
@@ -258,6 +253,15 @@ def sppm_project(
         raise readout_error("A", a, amp, origins_a) or readout_error("B", b, amp, origins_b)
     # abs(a) ** 2: a vectorised square differs from it in the last bit on some amplitudes
     return OutcomeDistribution._read(origins_a, origins_b, ids, [abs(a) ** 2 for a in values])
+
+
+def _readout_offsets(space: ModeSpace, origins_a: tuple, origins_b: tuple, impl: str) -> tuple[list, list]:
+    """``_offsets`` for a readout under ``impl``: ``decomposed`` first checks each origin's sorter block (cached)."""
+    if impl not in ("canonical", "decomposed"):
+        raise ValueError(f"bad impl: {impl!r}")
+    for origin in origins_a + origins_b if impl == "decomposed" else ():
+        _routes(origin)
+    return _offsets(space, origins_a, origins_b)
 
 
 def readout_error(photon: str, mode: BasisMode, amp: complex, origins: tuple) -> BellSimError | None:

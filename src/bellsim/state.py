@@ -86,6 +86,13 @@ class ModeSpace:
             raise ValueError("lmax must be a positive integer")
         if len(set(self.paths)) != len(self.paths):
             raise ValueError(f"duplicate path labels in {self.paths}")
+        object.__setattr__(self, "_hash", hash((self.lmax, self.paths)))  # every mode-table lookup hashes the space
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:  # rebuilt, not copied: a string's hash differs between processes
+        return ModeSpace, (self.lmax, self.paths)
 
     # -- validation -----------------------------------------------------
 

@@ -1,11 +1,16 @@
 import cmath
+import dataclasses
+import hashlib
+import pathlib
 
 import numpy as np
 import pytest
 
+from bellsim import elements
 from bellsim.analyzer import (
     BELL_LABELS,
     CLASSIFICATION_TABLE,
+    ORACLE_SEED,
     analyze,
     analyze_state,
     classification_rows,
@@ -19,10 +24,13 @@ from bellsim.analyzer import (
     tamper_table,
     verify,
 )
-from bellsim.circuit import builtin_document, parse_circuit
-from bellsim.errors import MalformedPattern
-from bellsim.measurement import CoincidencePattern, DetectorId, enumerate_patterns
-from bellsim.state import TwoPhotonState, fidelity
+from bellsim.circuit import Circuit, Stage, builtin_document, parse_circuit
+from bellsim.elements import ACTIONS
+from bellsim.engine import assemble, compile_circuit, propagate, restrict_to_circuit
+from bellsim.errors import LeakedAmplitude, MalformedPattern, OamOverflow, UnknownPath, UnsortableOam
+from bellsim.measurement import CoincidencePattern, DetectorId, enumerate_patterns, sppm_project
+from bellsim.state import BasisMode, TwoPhotonState, fidelity, max_amplitude_difference
+from test_blocks import _ONE_DOVE_PRISM, _flipped_shift, _negated_on_positive_l
 
 UNIFORM = 1 / 16
 
@@ -265,6 +273,138 @@ def test_oracle_report_serialization():
     assert payload["ok"] is True
     assert payload["states_checked"] == report.states_checked
     assert "PASS" in report.to_text()
+
+
+def _per_state_oracle(impl, circuit, n_random=50, seed=ORACLE_SEED):
+    """The oracle as a loop over states, the reference for ``oracle_check``'s
+    batch: (states checked, max state difference, max TVD)."""
+    plan = compile_circuit(circuit, impl)
+    dense = assemble(plan)
+    inputs = [prepare_input(label, circuit.space()) for label in BELL_LABELS]
+    inputs += random_input_states(n_random, seed, circuit.space())
+    origins = plan.origins["A"], plan.origins["B"]
+    meas_impl = "decomposed" if "decomposed" in plan.sppm_impl.values() else "canonical"
+    worst_state = worst_tvd = 0.0
+    for state, applied in zip(inputs, dense.apply_all(inputs)):
+        sparse_out = propagate(plan, state)
+        dense_out = restrict_to_circuit(plan, applied, "dense oracle output")
+        worst_state = max(worst_state, max_amplitude_difference(sparse_out, dense_out))
+        dist_sparse = sppm_project(sparse_out, *origins, meas_impl)
+        worst_tvd = max(worst_tvd, dist_sparse.tvd(sppm_project(dense_out, *origins, meas_impl)))
+    return len(inputs), worst_state, worst_tvd
+
+
+def _assert_matches_per_state(impl, circuit, tol, **kwargs):
+    report = oracle_check(impl, circuit, **kwargs)
+    checked, worst_state, worst_tvd = _per_state_oracle(impl, circuit, **kwargs)
+    assert report.states_checked == checked
+    assert abs(report.max_state_difference - worst_state) <= tol
+    assert abs(report.max_tvd - worst_tvd) <= tol
+    return report
+
+
+@pytest.mark.parametrize("lmax", [4, 8])
+@pytest.mark.parametrize("impl", ["canonical", "decomposed"])
+def test_oracle_batch_matches_the_per_state_loop(impl, lmax):
+    circuit = dataclasses.replace(default_circuit(), lmax=lmax)
+    assert _assert_matches_per_state(impl, circuit, 1e-15).ok
+    assert _assert_matches_per_state(impl, circuit, 1e-15, n_random=7, seed=29).states_checked == 11
+
+
+def _flip_dove_prism(monkeypatch):
+    flip = elements._flip
+    monkeypatch.setattr(elements, "_flip", lambda alpha: lambda mode: [(m, -c) for m, c in flip(alpha)(mode)])
+
+
+@pytest.mark.parametrize(
+    "mutate,impl,circuit",
+    [
+        (lambda mp: mp.setitem(ACTIONS, "p_cos", _flipped_shift), "canonical", None),
+        (lambda mp: mp.setitem(ACTIONS, "oh", _negated_on_positive_l("oh")), "canonical", None),
+        (lambda mp: mp.setitem(ACTIONS, "dp_stage", _negated_on_positive_l("dp_stage")), "canonical", None),
+        (_flip_dove_prism, "decomposed", None),
+        (_flip_dove_prism, "canonical", _ONE_DOVE_PRISM),
+        (_flip_dove_prism, "decomposed", _ONE_DOVE_PRISM),
+    ],
+    ids=["p_cos", "oh", "dp_stage", "dove-prism-fig2", "dove-prism-stage-canonical", "dove-prism-stage-decomposed"],
+)
+def test_oracle_batch_matches_the_per_state_loop_on_mutants(monkeypatch, mutate, impl, circuit):
+    mutate(monkeypatch)
+    report = _assert_matches_per_state(impl, circuit or default_circuit(), 1e-12)
+    assert not report.ok
+    assert report.max_state_difference >= 0.1
+
+
+def _digest(states):
+    h = hashlib.sha256()
+    for state in states:
+        ja, jb, values = state._pairs
+        h.update(repr((ja, jb)).encode())
+        h.update(np.array(values, dtype=np.complex128).tobytes())
+    return h.hexdigest()
+
+
+def _drawn_one_by_one(n, seed, space):
+    """Random sector states drawn one state at a time, the reference draw: real
+    parts, then imaginary parts, normalized, keyed A's origin, B's, A's pol, B's."""
+    sector = [
+        (BasisMode(pol_a, 0, x), BasisMode(pol_b, 0, y))
+        for x in ("a1", "b1")
+        for y in ("a2", "b2")
+        for pol_a in ("H", "V")
+        for pol_b in ("H", "V")
+    ]
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(n):
+        vec = rng.standard_normal(len(sector)) + 1j * rng.standard_normal(len(sector))
+        vec /= np.linalg.norm(vec)
+        states.append(TwoPhotonState(space, dict(zip(sector, (complex(v) for v in vec)))))
+    return states
+
+
+@pytest.mark.parametrize(
+    "seed,n,document,digest",
+    [
+        (ORACLE_SEED, 50, None, "c21261ced5144f74d4e23f8068b5bfd6ab2f576f10eb59134e810afdd07601f4"),
+        (29, 7, "lmax 8\npaths b2 a1 x b1 a2\n", "abcac9d194cb769a72fd08ea7294af68afa4c554c11cf932b247113bc5b001cb"),
+    ],
+)
+def test_random_input_states_keep_their_bits(seed, n, document, digest):
+    space = (default_circuit() if document is None else parse_circuit(document)).space()
+    states = random_input_states(n, seed, space)
+    assert [s._pairs for s in states] == [s._pairs for s in _drawn_one_by_one(n, seed, space)]
+    assert _digest(states) == digest
+
+
+_DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+# photon A's second spiral plate drives l=+1 to +2, outside lmax=1: the push parks that light
+_PARKS_LIGHT = Circuit(
+    1, ("a1", "a2", "b1", "b2"), (Stage("spp", "A", ("a1",), {"l": 1}), Stage("spp", "A", ("a1",), {"l": 1}))
+)
+
+
+@pytest.mark.parametrize("impl", ["canonical", "decomposed"])
+@pytest.mark.parametrize(
+    "circuit,error,text",
+    [
+        ("unmeasured_origin.circ", LeakedAmplitude, "'b1'"),
+        ("no_checkpoints.circ", UnsortableOam, "l=+0 at 'a1'"),
+        ("custom_mini.circ", UnknownPath, "'a1'"),
+        (_PARKS_LIGHT, OamOverflow, "stage 2 (spp photon=A paths=a1), element spp(l=1)@a1: "),
+    ],
+    ids=["unmeasured-origin", "no-checkpoints", "custom-mini", "parked-light"],
+)
+def test_oracle_raises_what_the_per_state_loop_raises(impl, circuit, error, text):
+    if isinstance(circuit, str):
+        circuit = parse_circuit((_DATA / circuit).read_text())
+    with pytest.raises(error) as want:
+        _per_state_oracle(impl, circuit)
+    with pytest.raises(error) as got:
+        oracle_check(impl, circuit)
+    assert str(got.value) == str(want.value)
+    assert text in str(got.value)
 
 
 # -- randomized regression --------------------------------------------

@@ -1,7 +1,14 @@
 import math
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import bellsim
 
 from bellsim.errors import (
     DimensionMismatch,
@@ -22,6 +29,19 @@ from bellsim.state import (
 )
 
 SPACE = ModeSpace(lmax=2, paths=("a", "b"))
+
+
+def test_a_space_hashes_once_and_as_an_equal_space_does_after_pickling_in_another_process():
+    space = ModeSpace(4, ("a1", "b1"))
+    assert hash(space) == hash(ModeSpace(4, ("a1", "b1"))) == vars(space)["_hash"]
+    # a path label's string hash is salted per process: the child's hash of the space is not this one's
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(pathlib.Path(bellsim.__file__).parents[1])}
+    script = "import pickle, sys; from bellsim.state import ModeSpace; sys.stdout.buffer.write(pickle.dumps(ModeSpace(4, ('a1', 'b1'))))"
+    loaded = pickle.loads(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True, timeout=60).stdout)
+    assert loaded == space
+    assert hash(loaded) == hash(space)
+    assert len({loaded, space}) == 1
 
 
 def test_space_dimension():
