@@ -10,7 +10,7 @@ simulation, so propagating the four inputs through the circuit and
 checking every support pattern against the table is a genuine
 cross-check.  ``verify`` runs exactly that; ``oracle_check`` contracts a
 batch of inputs with the engine's images of each photon's l=0 input modes
-and with the dense matrices' same columns, and compares states and outcomes.
+and with the same dense columns, assembled alone, and compares states and outcomes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .engine import (
     DEFAULT_ORIGINS,
     SECTOR_MODES,
     Plan,
-    assemble,
+    _assemble,
     compile_circuit,
     propagate,
     propagate_with_checkpoints,
@@ -597,19 +597,20 @@ def oracle_check(
     contracted once per side with each photon's 4 ``sector_columns`` (the
     images ``propagate`` contracts) or the same dense columns, and read by
     ``sppm_project``'s detectors; an input the per-state checks refuse raises
-    their error.  Reports the worst amplitude difference, TVD and unitarity residual.
+    their error.  The dense side assembles only those columns (``assemble``'s
+    bits), forming no dimension x dimension matrix.  Reports the worst
+    amplitude difference, TVD and unitarity residual.
     """
     circuit = default_circuit() if circuit is None else circuit
     plan = compile_circuit(circuit, impl)
-    dense = assemble(plan)
+    dense = _assemble(plan, SECTOR_MODES)
     bell = [prepare_input(label, circuit.space()) for label in BELL_LABELS]
     vecs = np.concatenate([[[state.amplitude(pair) for pair in _SECTOR_PAIRS] for state in bell], _draw(n_random, seed)])
     psi = np.zeros((len(vecs), len(SECTOR_MODES["A"]), len(SECTOR_MODES["B"])), dtype=np.complex128)
     psi[:, _SECTOR_AT[0], _SECTOR_AT[1]] = vecs
 
     # per photon: its sector columns, sparse then dense, on the rows either side reaches
-    cols = {p: [plan.space.index(m) for m in SECTOR_MODES[p]] for p in PHOTONS}
-    ops = [np.stack([sector_columns(plan, p, len(plan.stages)), u[:, cols[p]]]) for p, u in zip(PHOTONS, (dense.u_a, dense.u_b))]
+    ops = [np.stack([sector_columns(plan, p, len(plan.stages)), u]) for p, u in zip(PHOTONS, (dense.u_a, dense.u_b))]
     rows = [np.flatnonzero(op.any(axis=(0, 2))) for op in ops]
     m_a, m_b = (op[:, r] for op, r in zip(ops, rows))
     joint = m_a[:, None] @ psi @ m_b[:, None].swapaxes(2, 3)  # (side, input, row of A, row of B)

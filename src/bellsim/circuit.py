@@ -287,6 +287,26 @@ def label_problems(labels: tuple[str, ...]):
             yield at, CircuitSemanticError, f"duplicate path label {label!r}"
 
 
+def circuit_problems(circuit: Circuit):
+    """Each declaration of a circuit that no text could hold, as a message:
+    ``lmax`` an integer (not a bool) of at least 1, ``paths`` a tuple of
+    labels ``label_problems`` takes, each stage's ``paths`` a tuple of
+    strings and its ``params`` a dict.  Refused, not coerced."""
+    if isinstance(circuit.lmax, bool) or not isinstance(circuit.lmax, Integral):
+        yield f"lmax must be an integer, got {circuit.lmax!r}"
+    elif circuit.lmax < 1:
+        yield "lmax must be >= 1"
+    if not isinstance(circuit.paths, tuple) or not all(isinstance(label, str) for label in circuit.paths):
+        yield f"paths must be a tuple of strings, got {circuit.paths!r}"
+    else:
+        yield from (message for _, _, message in label_problems(circuit.paths))
+    for idx, stage in enumerate(circuit.stages):
+        if not isinstance(stage.paths, tuple) or not all(isinstance(label, str) for label in stage.paths):
+            yield f"stage {idx + 1}: paths must be a tuple of strings, got {stage.paths!r}"
+        if not isinstance(stage.params, dict):
+            yield f"stage {idx + 1}: params must be a dict, got {stage.params!r}"
+
+
 def _tokens(line: str) -> list[tuple[str, int]]:
     """Non-space tokens with their 1-based start columns, comment stripped."""
     cut = line.find("#")

@@ -22,8 +22,9 @@ row of its transfer matrices, noted per build, lies on the ancilla path.
 Light an op cannot take is parked beside its column with the error that
 parked it; a state raises that error, naming its stage and element, only
 if its joint amplitudes on the parked light do not cancel.  ``compile_circuit``
-first refuses a stage that breaks a rule of ``circuit.stage_problems``, the
-rules the parser applies; ``validate`` reports each of those, and only for
+first refuses a declaration that breaks a rule of ``circuit.circuit_problems``
+and a stage that breaks one of ``circuit.stage_problems``, the rules the
+parser applies; ``validate`` reports each of those, and only for
 a circuit that breaks none compiles every plan the CLI can run and reads
 its issues off the same pushes.
 ``assemble`` builds dense per-photon matrices for the same plan from each
@@ -31,7 +32,8 @@ op's block in :mod:`bellsim.blocks`: the physics restated, not the column
 functions the pushes run, so the two evolutions check each other.  Each
 stage's Gram is summed from the same entries with no BLAS call.  Both
 follow one rule for light an op cannot take: the push parks it, and its
-dense column is zero from that op on.
+dense column is zero from that op on.  The oracle carries each photon's
+product on its ``SECTOR_MODES`` only: the same bits, no dim x dim matrix.
 
 The dense form is kept factored as (U_A, U_B): the joint operator is
 their Kronecker product, applied to a batch of states in one contraction.
@@ -47,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import blocks
-from .circuit import ANCILLA_PATH, PHOTONS, STAGE_KINDS, Circuit, label_problems, stage_problems
+from .circuit import ANCILLA_PATH, PHOTONS, STAGE_KINDS, Circuit, circuit_problems, stage_problems
 from .elements import ColumnFn, Element, element_column
 from .errors import BellSimError, DimensionCap, LeakedAmplitude, UnsortableOam
 from .measurement import readout_error
@@ -143,11 +145,14 @@ def compile_circuit(circuit: Circuit, impl_override: str | None = None) -> Plan:
 
     Raises:
         BellSimError: an element the space cannot take, as "stage N (label): ...".
-        ValueError: a bad override, or a stage that breaks a rule of its
+        ValueError: a bad override, the first ``circuit.circuit_problems``
+            of the declarations, or a stage that breaks a rule of its
             kind, as "stage N (label): ..." with the first of its
             ``circuit.stage_problems`` (only a circuit built in code can
             hold one: the parser rejects them).
     """
+    for message in circuit_problems(circuit):  # raise the first
+        raise ValueError(message)
     for idx, stage in enumerate(circuit.stages):
         for _, _, message in stage_problems(stage, circuit.paths):  # raise the first
             raise ValueError(f"stage {idx + 1} ({stage.header()}): {message}")
@@ -264,8 +269,9 @@ def _pushed_issues(circuit: Circuit, override: str | None) -> list[ValidationIss
 def validate(circuit: Circuit) -> ValidationReport:
     """Static checks: the declarations and each stage against the parser's rules, then every plan the CLI can run.
 
-    The circuit must pass the rules the parser applies to text: ``lmax``
-    and each path label, with no stage, then each stage's
+    The circuit must pass the rules the parser applies to text: its
+    declarations' ``circuit.circuit_problems``, each with no stage (a
+    circuit that breaks one is reported on those alone), then each stage's
     ``circuit.stage_problems`` at that stage; a circuit built in code that
     breaks one is reported and not compiled.  Each plan the CLI can run (as
     written, and each impl override that differs) is compiled, and each l=0
@@ -281,9 +287,10 @@ def validate(circuit: Circuit) -> ValidationReport:
     Identical issues are merged; one seen under only some impls names
     them.  Never raises; problems are returned as issues.
     """
-    issues = [ValidationIssue("error", None, "lmax must be >= 1")] if circuit.lmax < 1 else []
-    issues += [ValidationIssue("error", None, message) for _, _, message in label_problems(circuit.paths)]
-    issues += [
+    issues = [ValidationIssue("error", None, message) for message in circuit_problems(circuit)]
+    if issues:  # no stage rule or push can read a declaration no text could hold
+        return ValidationReport(tuple(issues))
+    issues = [
         ValidationIssue("error", idx, message)
         for idx, stage in enumerate(circuit.stages)
         for _, _, message in stage_problems(stage, circuit.paths)
@@ -552,13 +559,16 @@ def _sum_of_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class AssembledUnitary:
     """Factored dense operator: joint action is kron(u_a, u_b).
 
-    Column j of ``u_a`` (``u_b``) is ``_push``'s final image of basis mode j
-    for photon A (B): light an op cannot take is zero from that op on.
+    Column j of ``u_a`` (``u_b``) is ``_push``'s final image of photon A's
+    (B's) j-th held input mode, ``inputs[photon][j]`` as an index into
+    ``space.modes()``: light an op cannot take is zero from that op on.
+    ``assemble`` holds every mode, in order.
     """
 
     space: ModeSpace
     u_a: np.ndarray
     u_b: np.ndarray
+    inputs: dict[str, np.ndarray]
     records: tuple[StageMatrixRecord, ...] = field(default_factory=tuple)
 
     def apply(self, state: TwoPhotonState) -> TwoPhotonState:
@@ -568,7 +578,11 @@ class AssembledUnitary:
     def apply_all(self, states: "list[TwoPhotonState]") -> "list[TwoPhotonState]":
         """``u_a @ psi_k @ u_b.T`` for every input k in one contraction: each
         psi_k is stacked over the union S_A x S_B of the inputs' modes, and
-        only the rows that ``u_a[:, S_A]`` and ``u_b[:, S_B]`` reach are formed."""
+        only the rows that the columns holding S_A and S_B reach are formed.
+
+        Raises:
+            ValueError: a state on a mode whose column the unitary does not hold.
+        """
         k, a, b, amps = [], [], [], []
         for n, state in enumerate(states):
             ja, jb, values = state.with_space(self.space)._pairs
@@ -580,7 +594,7 @@ class AssembledUnitary:
         s_b, b = np.unique(np.array(b, dtype=np.intp), return_inverse=True)
         psi = np.zeros((len(states), len(s_a), len(s_b)), dtype=np.complex128)
         psi[k, a, b] = amps
-        left, right = self.u_a[:, s_a], self.u_b[:, s_b]
+        left, right = (u[:, self._columns(p, s)] for p, u, s in zip(PHOTONS, (self.u_a, self.u_b), (s_a, s_b)))
         ia, ib = np.flatnonzero(left.any(axis=1)), np.flatnonzero(right.any(axis=1))
         dense = _sum_of_products(_sum_of_products(left[ia], psi), right[ib].T)
         hit = np.abs(dense) > DROP_EPS
@@ -589,6 +603,15 @@ class AssembledUnitary:
         ends = np.cumsum(np.bincount(at, minlength=len(states))).tolist()
         # every output row is a place in space.modes(), so nothing is re-checked
         return [TwoPhotonState._indexed(self.space, ja[i:j], jb[i:j], values[i:j]) for i, j in zip([0, *ends], ends)]
+
+    def _columns(self, photon: str, modes: np.ndarray) -> np.ndarray:
+        """The photon's columns holding input modes ``modes`` (indices into ``space.modes()``)."""
+        column = np.full(self.space.dimension, -1)
+        column[self.inputs[photon]] = np.arange(len(self.inputs[photon]))
+        if (column[modes] < 0).any():
+            missing = self.space.modes()[modes[column[modes] < 0][0]]
+            raise ValueError(f"photon {photon} input {missing} has no column in this unitary")
+        return column[modes]
 
 
 class _SparseOp(NamedTuple):
@@ -651,14 +674,21 @@ def assemble(plan: Plan) -> AssembledUnitary:
     max |G - I| for the Gram G of the columns no op of the stage rejects, is
     taken on those its ops move: any other column, and its row, is the unit
     one in every op of the stage, so its Gram row is the identity row.
-    Products are (row, col, value) entries that an op rewrites only in the
-    rows it moves; a stage's unit columns ride along as extra columns of its
-    photon's product, and G is summed from their entries row by row.
 
     Raises:
         DimensionCap: if the per-photon dimension exceeds ``MAX_PHOTON_DIMENSION``.
         ValueError: an op without a spec (a column built in code).
     """
+    return _assemble(plan)
+
+
+def _assemble(plan: Plan, inputs: dict[str, tuple[BasisMode, ...]] | None = None) -> AssembledUnitary:
+    """``assemble`` carrying each photon's product on its ``inputs`` modes only
+    (every mode if None), with ``assemble``'s bits.  Products are (row, col,
+    value) entries an op rewrites only in the rows it moves, each summed in
+    the order of its own terms, so no column depends on which others ride
+    along; a stage's unit columns ride along after the carried ones, and G
+    is summed from their entries row by row."""
     dim = plan.space.dimension
     if dim > MAX_PHOTON_DIMENSION:
         raise DimensionCap(f"per-photon dimension {dim} exceeds cap {MAX_PHOTON_DIMENSION}")
@@ -673,23 +703,24 @@ def assemble(plan: Plan) -> AssembledUnitary:
             built[key] = _sparse(*blocks.block(op.spec, axis))
         return built[key]
 
-    diagonal = np.arange(dim)
-    totals = {p: (diagonal, diagonal, np.ones(dim, dtype=np.complex128)) for p in PHOTONS}
+    held = {p: np.arange(dim) if inputs is None else np.array([plan.space.index(m) for m in inputs[p]]) for p in PHOTONS}
+    totals = {p: (modes, np.arange(len(modes)), np.ones(len(modes), dtype=np.complex128)) for p, modes in held.items()}
     records = []
     for cs in plan.stages:
         ops = [op_block(cs, op) for op in cs.ops]
         valid = np.all([sparse.valid for sparse in ops], axis=0)  # no op of the stage rejects it
         unit = np.flatnonzero(valid & np.any([sparse.moved for sparse in ops], axis=0))
-        width = dim + len(unit)  # the unit columns are columns dim, dim + 1, ... of the product
-        block = unit, np.arange(dim, width), np.ones(len(unit), dtype=np.complex128)
+        carried = len(held[cs.photon])
+        width = carried + len(unit)  # the unit columns follow the carried ones in the product
+        block = unit, np.arange(carried, width), np.ones(len(unit), dtype=np.complex128)
         rows, cols, vals = _merge(width, totals[cs.photon], block)
         for sparse in ops:
             rows, cols, vals = _apply(sparse, rows, cols, vals, width)
-        side = cols >= dim
+        side = cols >= carried
         totals[cs.photon] = rows[~side], cols[~side], vals[~side]
-        residual = _unitarity_residual(rows[side], cols[side] - dim, vals[side], len(unit))
+        residual = _unitarity_residual(rows[side], cols[side] - carried, vals[side], len(unit))
         records.append(StageMatrixRecord(cs.index, cs.kind, cs.photon, cs.impl, cs.label, residual))
-    dense = {p: np.zeros((dim, dim), dtype=np.complex128) for p in PHOTONS}
+    dense = {p: np.zeros((dim, len(modes)), dtype=np.complex128) for p, modes in held.items()}
     for p, (rows, cols, vals) in totals.items():
         dense[p][rows, cols] = vals
-    return AssembledUnitary(space=plan.space, u_a=dense["A"], u_b=dense["B"], records=tuple(records))
+    return AssembledUnitary(plan.space, dense["A"], dense["B"], held, tuple(records))

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import hashlib
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +266,22 @@ def test_oracle_check_agrees():
 def test_oracle_check_decomposed():
     report = oracle_check(impl="decomposed", n_random=5, seed=5)
     assert report.ok
+
+
+@pytest.mark.parametrize("impl", ["canonical", "decomposed"])
+def test_oracle_check_forms_no_dense_square_matrix(impl):
+    """The oracle reads 4 columns per photon, so its peak allocation stays
+    below one complex dimension x dimension matrix of the plan's space."""
+    circuit = dataclasses.replace(default_circuit(), lmax=64)
+    oracle_check(impl, circuit)  # fill the caches a later call reuses
+    tracemalloc.start()
+    try:
+        oracle_check(impl, circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dim = compile_circuit(circuit, impl).space.dimension
+    assert peak < dim * dim * np.dtype(np.complex128).itemsize
 
 
 def test_oracle_report_serialization():

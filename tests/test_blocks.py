@@ -12,12 +12,16 @@ elements, and each is mutated here too.
 import ast
 import pathlib
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from bellsim import blocks, elements
-from bellsim.analyzer import oracle_check
-from bellsim.circuit import parse_circuit
+from bellsim.analyzer import default_circuit, oracle_check
+from bellsim.circuit import PHOTONS, parse_circuit
 from bellsim.elements import ACTIONS, qp_shift
+from bellsim.engine import SECTOR_MODES, _assemble, assemble, compile_circuit
 
 # p_cos lifts both photons to l=+1/-1 so the sorter blocks can read them;
 # its canonical and decomposed forms hold no Dove prism, so the dp stage
@@ -96,6 +100,29 @@ def _negated_on_positive_l(kind):
     return make
 
 
+def _assert_sector_assembly_is_the_public_one(plan):
+    """The oracle's assembly, each photon carried on its ``SECTOR_MODES``
+    only, holds the public assembly's columns and residuals, bit for bit."""
+    public, sector = assemble(plan), _assemble(plan, SECTOR_MODES)
+    for photon, full, held in zip(PHOTONS, (public.u_a, public.u_b), (sector.u_a, sector.u_b)):
+        columns = [plan.space.index(m) for m in SECTOR_MODES[photon]]
+        assert sector.inputs[photon].tolist() == columns
+        assert np.array_equal(held, full[:, columns])
+    assert sector.records == public.records
+
+
+@pytest.mark.parametrize("lmax", [4, 8])
+@pytest.mark.parametrize("impl", ["canonical", "decomposed"])
+def test_the_oracle_assembles_the_public_sector_columns_bit_for_bit(impl, lmax):
+    _assert_sector_assembly_is_the_public_one(compile_circuit(dataclasses.replace(default_circuit(), lmax=lmax), impl))
+
+
+@pytest.mark.parametrize("impl", ["canonical", "decomposed"])
+@pytest.mark.parametrize("circuit", [None, _ONE_DOVE_PRISM], ids=["fig2", "dove-prism-stage"])
+def test_the_oracle_assembles_the_public_sector_columns_under_a_flipped_dove_prism(flipped_dove_prism, circuit, impl):
+    _assert_sector_assembly_is_the_public_one(compile_circuit(circuit or default_circuit(), impl))
+
+
 def test_oracle_passes_canonical_fig2():
     assert oracle_check("canonical").ok
 
@@ -114,3 +141,16 @@ def test_oracle_catches_a_mutated_canonical_gate_in_fig2(monkeypatch, kind, muta
     report = oracle_check("canonical")
     assert not report.ok
     assert report.max_state_difference >= 0.1
+
+
+@pytest.mark.parametrize(
+    "kind,mutant",
+    [
+        ("p_cos", lambda: _flipped_shift),
+        ("oh", lambda: _negated_on_positive_l("oh")),
+        ("dp_stage", lambda: _negated_on_positive_l("dp_stage")),
+    ],
+)
+def test_the_oracle_assembles_the_public_sector_columns_under_a_mutated_gate(monkeypatch, kind, mutant):
+    monkeypatch.setitem(ACTIONS, kind, mutant())
+    _assert_sector_assembly_is_the_public_one(compile_circuit(default_circuit(), "canonical"))

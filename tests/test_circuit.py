@@ -564,6 +564,32 @@ def test_validator_reports_what_the_parser_rejects_in_a_declaration(lmax, paths,
     assert [str(i) for i in report.issues if i.severity == "error"] == [f"error: {message}"]
 
 
+_FIG2 = parse_circuit(builtin_document("fig2"))
+
+
+@pytest.mark.parametrize(
+    "circuit,message",
+    [
+        (Circuit(4, ["a", "b"], (Stage("hwp", "A", ("a",), {"theta": 0.1}),)), "paths must be a tuple of strings, got ['a', 'b']"),
+        (dataclasses.replace(_FIG2, lmax=4.0), "lmax must be an integer, got 4.0"),
+        (dataclasses.replace(_FIG2, lmax="4"), "lmax must be an integer, got '4'"),
+        (Circuit(4, ("a",), (Stage("hwp", "A", ("a",), None),)), "stage 1: params must be a dict, got None"),
+        (dataclasses.replace(_FIG2, lmax=True), "lmax must be an integer, got True"),
+        (Circuit(4, ("a",), (Stage("hwp", "A", ["a"], {"theta": 0.1}),)), "stage 1: paths must be a tuple of strings, got ['a']"),
+    ],
+    ids=["paths-list", "float-lmax", "str-lmax", "params-none", "bool-lmax", "stage-paths-list"],
+)
+def test_a_declaration_no_text_could_hold_is_refused_not_coerced(circuit, message):
+    """Built in code, a circuit can hold values its printed text would not
+    read back as (``lmax True`` prints and then fails to parse): ``validate``
+    reports each as one error with no stage instead of raising, and
+    ``compile_circuit`` raises it."""
+    assert [str(i) for i in validate(circuit).issues] == [f"error: {message}"]
+    with pytest.raises(ValueError) as info:
+        compile_circuit(circuit)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize(
     "stage,message",
     [

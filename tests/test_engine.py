@@ -29,7 +29,9 @@ from bellsim.engine import (
     MAX_PHOTON_DIMENSION,
     CompiledOp,
     CompiledStage,
+    SECTOR_MODES,
     Plan,
+    _assemble,
     assemble,
     compile_circuit,
     propagate,
@@ -886,6 +888,19 @@ def test_dense_columns_are_the_pushes_on_hand_plans(columns):
             for out, amp in plan._transfers[photon].columns[col][-1].items():
                 want[plan.space.index(out), j] = amp
         assert np.max(np.abs(mats[photon] - want)) <= 1e-12, photon
+
+
+def test_a_sector_assembly_applies_sector_states_and_refuses_other_modes():
+    """Carried on each photon's ``SECTOR_MODES`` only, the unitary applies a
+    sector state as the full one does, and refuses a mode it holds no column for."""
+    plan = compile_circuit(FIG2, "decomposed")
+    full, sector = assemble(plan), _assemble(plan, SECTOR_MODES)
+    bell = [prepare_input(label, SPACE) for label in BELL_LABELS]
+    assert [s._pairs for s in sector.apply_all(bell)] == [s._pairs for s in full.apply_all(bell)]
+    outside = TwoPhotonState(SPACE, {(BasisMode("H", 1, "a1"), BasisMode("H", 0, "a2")): 1.0})
+    with pytest.raises(ValueError, match=r"^photon A input .* has no column in this unitary$"):
+        sector.apply_all([*bell, outside])
+    full.apply(outside)
 
 
 def test_assemble_refuses_a_column_built_in_code():
